@@ -520,14 +520,7 @@ fn main() {
             .sum()
     };
     let (mut t_service, mut t_service_off) = (f64::INFINITY, f64::INFINITY);
-    // The service's own parse counters (micros spent in parse_indexed
-    // across the timed passes) split the stream wall clock into a parse
-    // phase and an evaluate phase (routing + rule evaluation +
-    // response assembly). The counters accumulate, so the split is a
-    // per-pass mean against the best-of total — report-only.
-    let service_passes = passes.max(5) * 2;
-    let parse_before = service.parse_stats();
-    for _ in 0..service_passes {
+    for _ in 0..passes.max(5) * 2 {
         let t = Instant::now();
         black_box(stream(&service));
         t_service = t_service.min(t.elapsed().as_secs_f64());
@@ -535,9 +528,6 @@ fn main() {
         black_box(stream(&service_off));
         t_service_off = t_service_off.min(t.elapsed().as_secs_f64());
     }
-    let parse_delta = service.parse_stats().micros - parse_before.micros;
-    let t_service_parse = parse_delta as f64 / 1e6 / service_passes as f64;
-    let t_service_evaluate = (t_service - t_service_parse).max(0.0);
     let inprocess_rps = requests.len() as f64 / t_service;
     let service_health_ratio = t_service_off / t_service;
 
@@ -953,13 +943,10 @@ fn main() {
         t_parse_stream * ms,
     );
     println!(
-        "service throughput (in-process): {} single-page requests in {:.3} ms → {:.0} requests/sec \
-         (parse phase ~{:.3} ms, evaluate phase ~{:.3} ms)",
+        "service throughput (in-process): {} single-page requests in {:.3} ms → {:.0} requests/sec",
         requests.len(),
         t_service * ms,
         inprocess_rps,
-        t_service_parse * ms,
-        t_service_evaluate * ms,
     );
     println!(
         "health accounting: stream without tracking {:.3} ms → ratio {:.3} \
@@ -1053,10 +1040,6 @@ fn main() {
                 ("parse_classic", num(t_parse_classic * ms)),
                 ("parse_stream", num(t_parse_stream * ms)),
                 ("service_stream", num(t_service * ms)),
-                // service_stream split by the service's parse counters:
-                // per-pass mean parse time vs everything after parse.
-                ("service_stream_parse", num(t_service_parse * ms)),
-                ("service_stream_evaluate", num(t_service_evaluate * ms)),
                 ("http_keepalive_stream", num(t_keepalive * ms)),
                 ("http_blocking_stream", num(t_blocking * ms)),
                 (

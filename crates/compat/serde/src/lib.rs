@@ -7,6 +7,7 @@
 //! stand-in pretty-prints it. `#[derive(Serialize)]` comes from the
 //! sibling `serde_derive` proc macro.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 pub use serde_derive::Serialize;
@@ -32,6 +33,12 @@ pub enum Value {
 pub trait Serialize {
     /// Renders `self` as a JSON value tree.
     fn to_value(&self) -> Value;
+
+    /// The value tree, borrowed where `self` already is one: writers call
+    /// this so that serializing a [`Value`] does not deep-clone it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 macro_rules! impl_ser_num {
@@ -67,6 +74,10 @@ impl Serialize for str {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -116,6 +127,10 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -180,5 +195,16 @@ mod tests {
             vec![1u8, 2].to_value(),
             Value::Array(vec![Value::Number(1.0), Value::Number(2.0)])
         );
+    }
+
+    #[test]
+    fn values_are_borrowed_not_cloned() {
+        let v = Value::String("page".into());
+        assert!(matches!(v.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!(
+            <&Value as Serialize>::as_value(&&v),
+            Cow::Borrowed(_)
+        ));
+        assert_eq!(3u8.as_value(), Cow::<Value>::Owned(Value::Number(3.0)));
     }
 }

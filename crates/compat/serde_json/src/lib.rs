@@ -1,14 +1,22 @@
 //! Offline stand-in for `serde_json`: pretty-prints the `serde`
 //! stand-in's [`Value`] tree with the same spacing conventions as
 //! upstream (`"key": value`, two-space indent), and parses JSON text
-//! back into [`Value`] (used by the benchmark gate to read committed
-//! baselines).
+//! back into [`Value`].
+//!
+//! The parser decodes every `POST /extract` and JSON `POST /wrappers`
+//! body of the serving tier, so it is on the hostile-input path: strings
+//! are copied a run at a time, and nesting is capped at [`MAX_DEPTH`].
 
 use serde::{Serialize, Value};
 use std::fmt;
 
-/// Serialization error (the stand-in is infallible in practice; the type
-/// exists so call sites keep their `Result` plumbing).
+/// Deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a request body of
+/// `[`s overflow the thread's stack; in-repo artifacts and request bodies
+/// nest fewer than 10 levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Serialization or parse error.
 #[derive(Debug)]
 pub struct Error(String);
 
@@ -23,7 +31,7 @@ impl std::error::Error for Error {}
 /// Pretty JSON with two-space indentation, like upstream serde_json.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), 0, &mut out);
+    write_value(&value.as_value(), 0, &mut out);
     Ok(out)
 }
 
@@ -60,7 +68,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
         }
     }
     let mut out = String::new();
-    compact(&value.to_value(), &mut out);
+    compact(&value.as_value(), &mut out);
     Ok(out)
 }
 
@@ -69,11 +77,13 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// Supports the full JSON grammar (objects, arrays, strings with
 /// escapes, numbers, booleans, null); numbers land in `Value::Number`'s
 /// `f64` like everything else in the stand-in. Trailing non-whitespace
-/// is an error.
+/// and nesting deeper than [`MAX_DEPTH`] are errors.
 pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -85,8 +95,11 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -127,8 +140,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -136,6 +149,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -188,60 +216,64 @@ impl Parser<'_> {
         }
     }
 
+    /// Decodes a string literal. Both bytes a run of plain text can end
+    /// at, `"` and `\\`, are ASCII, so every run ends on a char boundary
+    /// of the already-valid input and is copied with one `push_str`. The
+    /// output is allocated once, at the raw span up to the closing quote:
+    /// escapes only ever shorten the decoded text.
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let span = closing_quote(&self.bytes[self.pos..])
+            .ok_or_else(|| Error("unterminated string".into()))?;
+        let end = self.pos + span;
+        let mut out = String::with_capacity(span);
         loop {
-            match self.peek() {
-                None => return Err(Error("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error("unterminated escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error(format!("bad \\u escape '{hex}'")))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our own
-                            // writer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(Error(format!("bad escape '\\{}'", esc as char))),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error("invalid utf-8 in string".into()))?;
-                    out.push_str(chunk);
-                }
+            let run = self.bytes[self.pos..end]
+                .iter()
+                .position(|&b| b == b'\\')
+                .unwrap_or(end - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.pos == end {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            self.escape(&mut out)?;
         }
+    }
+
+    /// Decodes the escape after a `\\` into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        let esc = self
+            .peek()
+            .ok_or_else(|| Error("unterminated escape".into()))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{0008}'),
+            b'f' => out.push('\u{000c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| Error(format!("bad \\u escape '{hex}'")))?;
+                self.pos += 4;
+                // Surrogate pairs are not produced by our own writer;
+                // map lone surrogates to U+FFFD.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(Error(format!("bad escape '\\{}'", esc as char))),
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -323,19 +355,51 @@ fn push_number(n: f64, out: &mut String) {
     }
 }
 
-fn push_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The offset of the `"` closing a string literal whose opening quote
+/// was just consumed, stepping over escaped bytes; `None` if it is
+/// unterminated.
+fn closing_quote(bytes: &[u8]) -> Option<usize> {
+    let mut i = 0;
+    loop {
+        i += bytes
+            .get(i..)?
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        if bytes[i] == b'"' {
+            return Some(i);
         }
+        i += 2;
     }
+}
+
+/// Writes `s` as a JSON string literal, copying the runs between bytes
+/// that need escaping in bulk. Those bytes are all ASCII, so every run
+/// ends on a char boundary.
+fn push_json_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let code = match b {
+            b'"' | b'\\' => b,
+            b'\n' => b'n',
+            b'\r' => b'r',
+            b'\t' => b't',
+            0..=0x1f => b'u',
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        out.push(code as char);
+        if code == b'u' {
+            out.push_str("00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -423,5 +487,236 @@ mod tests {
             from_str(r#""\t\r\n\b\f\/""#).unwrap(),
             Value::String("\t\r\n\u{8}\u{c}/".into())
         );
+    }
+
+    /// The string decoder this crate had before run-at-a-time copying:
+    /// one `from_utf8` + `push_str` per code point. The oracle for
+    /// [`Parser::string`].
+    impl Parser<'_> {
+        fn string_per_code_point(&mut self) -> Result<String, Error> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(Error("unterminated string".into())),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        self.escape(&mut out)?;
+                    }
+                    Some(_) => {
+                        let start = self.pos;
+                        self.pos += 1;
+                        while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
+                            self.pos += 1;
+                        }
+                        let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| Error("invalid utf-8 in string".into()))?;
+                        out.push_str(chunk);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The char-at-a-time encoder: the oracle for [`push_json_string`].
+    fn push_json_string_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// A seeded xorshift64* stream (the compat `rand` is not a
+    /// dependency of this crate).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// Raw text of 1-, 2-, 3- and 4-byte UTF-8 chars.
+    const WIDE: &[&str] = &[
+        "a", "Z", "~", "é", "ß", "Ω", "–", "☕", "中", "\u{fffd}", "😀", "𝄞",
+    ];
+
+    /// The body of a random JSON string literal (no quotes): plain runs
+    /// of every UTF-8 width, every escape, `\uXXXX` including lone
+    /// surrogates, and raw control characters.
+    fn random_literal(rng: &mut Rng) -> String {
+        const ESCAPES: &[&str] = &["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"];
+        let mut body = String::new();
+        for _ in 0..rng.below(24) {
+            match rng.below(5) {
+                0 => body.push_str(rng.pick(ESCAPES)),
+                1 => {
+                    // Half of them in the surrogate range D800–DFFF.
+                    let code = if rng.below(2) == 0 {
+                        0xd800 + rng.below(0x800)
+                    } else {
+                        rng.below(0x10000)
+                    };
+                    if rng.below(2) == 0 {
+                        body.push_str(&format!("\\u{code:04x}"));
+                    } else {
+                        body.push_str(&format!("\\u{code:04X}"));
+                    }
+                }
+                2 => body.push(char::from(rng.below(0x20) as u8)),
+                _ => {
+                    for _ in 0..=rng.below(6) {
+                        body.push_str(rng.pick(WIDE));
+                    }
+                }
+            }
+        }
+        body
+    }
+
+    fn parser(text: &str) -> Parser<'_> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Decodes `text` with both decoders; they must agree on the value
+    /// (or both fail) and on where the literal ended.
+    fn decode_both(text: &str) -> Result<String, Error> {
+        let (mut new, mut old) = (parser(text), parser(text));
+        let (fast, slow) = (new.string(), old.string_per_code_point());
+        match (&fast, &slow) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "decoders disagree on {text:?}");
+                assert_eq!(new.pos, old.pos, "decoders stop apart on {text:?}");
+            }
+            (Err(_), Err(_)) => {}
+            _ => panic!("{text:?}: run-at-a-time {fast:?}, per code point {slow:?}"),
+        }
+        fast
+    }
+
+    #[test]
+    fn run_decoder_matches_per_code_point_oracle() {
+        let mut rng = Rng(0x5eed_1234_abcd_ef01);
+        for _ in 0..4000 {
+            let body = random_literal(&mut rng);
+            let literal = format!("\"{body}\"");
+            let decoded = decode_both(&format!("{literal},1")).expect("well-formed literal");
+            // One allocation, sized by the raw span up to the quote.
+            assert!(decoded.capacity() <= body.len(), "{literal:?}");
+            // Truncated anywhere (on a char boundary), both decoders fail
+            // or agree on a shorter literal.
+            let cut = rng.below(literal.len());
+            if literal.is_char_boundary(cut) {
+                decode_both(&literal[..cut]).ok();
+            }
+        }
+        // Runs ending exactly at an escape, at the closing quote, and
+        // escapes at both ends.
+        for literal in [
+            r#""""#,
+            r#""abc""#,
+            r#""abc\n""#,
+            r#""\nabc""#,
+            r#""é\"""#,
+            r#""\\""#,
+            r#""\\\"x\\""#,
+            r#""é𐏿""#,
+            "\"\u{1}\u{1f}\"",
+        ] {
+            decode_both(literal).expect(literal);
+        }
+        for bad in [r#""\q""#, r#""\u12""#, r#""\u12g4""#, r#""abc\"#, r#""abc"#] {
+            assert!(decode_both(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn run_encoder_matches_per_char_oracle() {
+        let mut rng = Rng(0x0dd_ba11);
+        let mut chars: Vec<String> = WIDE.iter().map(|c| c.to_string()).collect();
+        chars.extend(
+            (0u8..0x20)
+                .chain([b'"', b'\\', b'/', 0x7f])
+                .map(|b| char::from(b).to_string()),
+        );
+        for _ in 0..4000 {
+            let s: String = (0..rng.below(32))
+                .map(|_| chars[rng.below(chars.len())].as_str())
+                .collect();
+            let (mut fast, mut slow) = (String::new(), String::new());
+            push_json_string(&s, &mut fast);
+            push_json_string_per_char(&s, &mut slow);
+            assert_eq!(fast, slow, "{s:?}");
+            assert_eq!(from_str(&fast).unwrap(), Value::String(s));
+        }
+    }
+
+    #[test]
+    fn serializing_a_value_borrows_it() {
+        struct Wrap(Value);
+        impl Serialize for Wrap {
+            fn to_value(&self) -> Value {
+                self.0.clone()
+            }
+        }
+        let v = from_str(r#"{"site":"a\"b","pages":[["x","é"],[]],"n":[1.5,null,true]}"#).unwrap();
+        let compact = to_string(&v).unwrap();
+        assert_eq!(compact, to_string(&v.clone()).unwrap());
+        assert_eq!(compact, to_string(&Wrap(v.clone())).unwrap());
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            to_string_pretty(&Wrap(v)).unwrap()
+        );
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, as small as a server
+    /// worker's.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let brackets = on_small_stack(|| from_str(&"[".repeat(1 << 20)).map(drop));
+        let err = brackets.unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = on_small_stack(|| from_str(&"{\"a\":".repeat(100_000)).map(drop));
+        assert!(objects.is_err());
+        // The cap itself: 128 levels parse, 129 do not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nest(MAX_DEPTH + 1)).is_err());
+        // Depth is nesting, not the count of containers.
+        assert!(from_str(&format!("[{}[]]", "[],".repeat(1000))).is_ok());
     }
 }

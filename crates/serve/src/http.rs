@@ -270,6 +270,8 @@ fn serve_connection(
     // not Linux) the stream must be reset to blocking or every read
     // would fail with WouldBlock before the timeouts even apply.
     stream.set_nonblocking(false)?;
+    // The response goes out in one write; Nagle would only delay it.
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let deadline = Instant::now() + read_deadline;
@@ -285,7 +287,9 @@ fn serve_connection(
         Err(HttpError::Status(status, message)) => (Response::error(status, message), true),
         Err(HttpError::Io(e)) => return Err(e),
     };
-    stream.write_all(&encode_response(&response, false, None))?;
+    let mut bytes = Vec::new();
+    encode_response(&response, false, None, &mut bytes);
+    stream.write_all(&bytes)?;
     stream.flush()?;
     if body_maybe_unread {
         // The client may still be uploading the body we refused (413,

@@ -367,19 +367,14 @@ fn extract(service: &ExtractionService, body: &[u8]) -> Response {
     match service.handle(&request) {
         Err(e) => error_response(&e),
         Ok(response) => {
-            let pages: Vec<Value> = response
-                .pages
-                .iter()
-                .map(|values| strings(values.iter().cloned()))
-                .collect();
+            // The reply tree takes the response's strings by move; only
+            // the flattened `values` array copies them.
             let values = strings(response.values().map(str::to_string));
+            let pages: Vec<Value> = response.pages.into_iter().map(strings).collect();
             let errors: Vec<Value> = response
                 .errors
-                .iter()
-                .map(|error| match error {
-                    Some(message) => Value::String(message.clone()),
-                    None => Value::Null,
-                })
+                .into_iter()
+                .map(|error| error.map_or(Value::Null, Value::String))
                 .collect();
             Response::json(
                 200,
@@ -397,28 +392,38 @@ fn extract(service: &ExtractionService, body: &[u8]) -> Response {
 }
 
 /// Decodes a `POST /extract` body: `site` plus either `html` (one page)
-/// or `pages` (an array of pages).
+/// or `pages` (an array of pages). The decoded strings are moved out of
+/// the JSON tree, not copied. A key that appears twice counts once, at
+/// its first occurrence (as `Value::get` reads it).
 fn parse_extract_body(body: &str) -> Result<ExtractRequest, String> {
     let v = serde_json::from_str(body).map_err(|e| format!("request body is not JSON: {e}"))?;
-    let site = v
-        .get("site")
-        .and_then(Value::as_str)
-        .ok_or("missing string field \"site\"")?
-        .to_string();
-    let pages = match (v.get("html"), v.get("pages")) {
-        (Some(html), None) => vec![html
-            .as_str()
-            .ok_or("field \"html\" must be a string")?
-            .to_string()],
+    let (mut site, mut html, mut pages) = (None, None, None);
+    if let Value::Object(entries) = v {
+        for (key, value) in entries {
+            let slot = match key.as_str() {
+                "site" => &mut site,
+                "html" => &mut html,
+                "pages" => &mut pages,
+                _ => continue,
+            };
+            slot.get_or_insert(value);
+        }
+    }
+    let Some(Value::String(site)) = site else {
+        return Err("missing string field \"site\"".into());
+    };
+    let not_strings = || "field \"pages\" must be an array of strings".to_string();
+    let pages = match (html, pages) {
+        (Some(Value::String(html)), None) => vec![html],
+        (Some(_), None) => return Err("field \"html\" must be a string".into()),
         (None, Some(Value::Array(items))) => items
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "field \"pages\" must be an array of strings".to_string())
+            .into_iter()
+            .map(|item| match item {
+                Value::String(page) => Ok(page),
+                _ => Err(not_strings()),
             })
             .collect::<Result<Vec<String>, String>>()?,
-        (None, Some(_)) => return Err("field \"pages\" must be an array of strings".into()),
+        (None, Some(_)) => return Err(not_strings()),
         (Some(_), Some(_)) => return Err("carry \"html\" or \"pages\", not both".into()),
         (None, None) => return Err("missing \"html\" (string) or \"pages\" (array)".into()),
     };
@@ -512,6 +517,122 @@ mod tests {
             assert_eq!(r.status, status, "{body} → {}", r.body);
             assert!(r.body.contains("\"error\""), "{}", r.body);
         }
+    }
+
+    #[test]
+    fn extract_body_semantics_are_pinned() {
+        let service = service();
+        let page = "<table class='stores'><tr><td><b>OMEGA</b></td><td>9 Elm</td></tr></table>";
+        // A duplicate key counts at its first occurrence.
+        let first_known = respond(
+            &service,
+            &request(
+                "POST",
+                "/extract",
+                &format!(r#"{{"site":"dealers","site":"unknown","html":"{page}"}}"#),
+            ),
+        );
+        assert_eq!(first_known.status, 200, "{}", first_known.body);
+        assert!(
+            first_known.body.starts_with(r#"{"site":"dealers","#),
+            "{}",
+            first_known.body
+        );
+        let first_unknown = respond(
+            &service,
+            &request(
+                "POST",
+                "/extract",
+                &format!(r#"{{"site":"unknown","site":"dealers","html":"{page}"}}"#),
+            ),
+        );
+        assert_eq!(first_unknown.status, 404, "{}", first_unknown.body);
+        // Wrongly typed bodies and fields, each with its own message.
+        for (body, message) in [
+            (r#"["dealers"]"#, r#"missing string field \"site\""#),
+            (r#""dealers""#, r#"missing string field \"site\""#),
+            (
+                r#"{"site":5,"html":"x"}"#,
+                r#"missing string field \"site\""#,
+            ),
+            (
+                r#"{"site":"dealers","html":5}"#,
+                r#"field \"html\" must be a string"#,
+            ),
+            (
+                r#"{"site":"dealers","pages":[1]}"#,
+                r#"field \"pages\" must be an array of strings"#,
+            ),
+            (
+                r#"{"site":"dealers","pages":["<p>x</p>",null]}"#,
+                r#"field \"pages\" must be an array of strings"#,
+            ),
+        ] {
+            let r = respond(&service, &request("POST", "/extract", body));
+            assert_eq!(r.status, 400, "{body} → {}", r.body);
+            assert_eq!(r.body, format!(r#"{{"error":"{message}"}}"#), "{body}");
+        }
+    }
+
+    #[test]
+    fn escaped_pages_extract_what_their_decoded_text_does() {
+        let service = service();
+        let page =
+            "<table class=\"stores\">\n<tr><td><b>CAFÉ \"É\"</b></td><td>9 Elm</td></tr></table>";
+        // The same page with every escape spelled out by hand: `\"`,
+        // `\n`, a `\u` escape and a `\/`.
+        let escaped = r#"{"site":"dealers","html":"<table class=\"stores\">\n<tr><td><b>CAF\u00c9 \"É\"<\/b></td><td>9 Elm</td></tr></table>"}"#;
+        let direct = service
+            .handle(&ExtractRequest::single("dealers", page))
+            .unwrap();
+        assert_eq!(direct.pages, [["CAFÉ \"É\""]]);
+        let r = respond(&service, &request("POST", "/extract", escaped));
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.body.contains(r#""pages":[["CAFÉ \"É\""]]"#), "{}", r.body);
+        // And byte-identical to the reply for the writer's own encoding.
+        let encoded = serde_json::to_string(&obj(vec![
+            ("site", Value::String("dealers".into())),
+            ("html", Value::String(page.into())),
+        ]))
+        .unwrap();
+        assert_ne!(encoded, escaped);
+        assert_eq!(respond(&service, &request("POST", "/extract", &encoded)), r);
+    }
+
+    #[test]
+    fn deeply_nested_bodies_are_400_and_the_service_keeps_serving() {
+        let service = service();
+        let deep = "[".repeat(1 << 20);
+        let extract = respond(&service, &request("POST", "/extract", &deep));
+        assert_eq!(extract.status, 400, "{}", extract.body);
+        assert!(
+            extract.body.contains("nesting deeper than"),
+            "{}",
+            extract.body
+        );
+        let objects = "{\"a\":".repeat(100_000);
+        let upload = respond(&service, &request("POST", "/wrappers", &objects));
+        assert_eq!(upload.status, 400, "{}", upload.body);
+        assert!(
+            upload.body.contains("nesting deeper than"),
+            "{}",
+            upload.body
+        );
+        assert_eq!(service.registry().site_keys(), ["dealers"]);
+        assert_eq!(
+            respond(&service, &request("GET", "/healthz", "")).status,
+            200
+        );
+        let page = "<table class='stores'><tr><td><b>OMEGA</b></td><td>9 Elm</td></tr></table>";
+        let after = respond(
+            &service,
+            &request(
+                "POST",
+                "/extract",
+                &format!(r#"{{"site":"dealers","html":"{page}"}}"#),
+            ),
+        );
+        assert_eq!(after.status, 200, "{}", after.body);
     }
 
     #[test]

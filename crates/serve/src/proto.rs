@@ -147,29 +147,33 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes a routed [`Response`] to wire bytes. `retry_after_secs`
-/// adds the overload hint header (the backpressure 503); both loops
-/// emit identical bytes for identical `(response, keep_alive)` inputs.
+/// Appends a routed [`Response`]'s wire bytes to `out` (the
+/// connection's write buffer, so the body is copied once).
+/// `retry_after_secs` adds the overload hint header (the backpressure
+/// 503); both loops emit identical bytes for identical
+/// `(response, keep_alive)` inputs.
 pub(crate) fn encode_response(
     response: &Response,
     keep_alive: bool,
     retry_after_secs: Option<u32>,
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) {
+    use std::io::Write;
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let retry = match retry_after_secs {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry}Connection: {connection}\r\n\r\n",
+    out.reserve(128 + response.body.len());
+    // Writing into a Vec cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         response.status,
         reason(response.status),
         response.body.len(),
     );
-    let mut bytes = Vec::with_capacity(head.len() + response.body.len());
-    bytes.extend_from_slice(head.as_bytes());
-    bytes.extend_from_slice(response.body.as_bytes());
-    bytes
+    if let Some(secs) = retry_after_secs {
+        let _ = write!(out, "Retry-After: {secs}\r\n");
+    }
+    let _ = write!(out, "Connection: {connection}\r\n\r\n");
+    out.extend_from_slice(response.body.as_bytes());
 }
 
 #[cfg(test)]
@@ -243,8 +247,12 @@ mod tests {
             status: 503,
             body: r#"{"error":"overloaded"}"#.into(),
         };
-        let bytes = encode_response(&response, true, Some(1));
+        let mut bytes = b"queued".to_vec();
+        encode_response(&response, true, Some(1), &mut bytes);
         let text = String::from_utf8(bytes).unwrap();
+        let text = text
+            .strip_prefix("queued")
+            .expect("appends after queued bytes");
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{text}"

@@ -526,6 +526,9 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Each reply is written as one buffer, so Nagle only
+                    // holds its tail back until the client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     self.next_generation += 1;
                     let conn = Conn::new(stream, self.next_generation, Instant::now());
                     let slot = self.slab.iter().position(Option::is_none);
@@ -563,8 +566,7 @@ impl Reactor {
     ) {
         self.service.latency().record(started.elapsed());
         let Some(conn) = self.conn(slot) else { return };
-        let bytes = encode_response(response, keep_alive, retry_after);
-        conn.out.extend_from_slice(&bytes);
+        encode_response(response, keep_alive, retry_after, &mut conn.out);
         if !keep_alive {
             conn.close_after_flush = true;
         }

@@ -349,6 +349,26 @@ fn overload_sheds_503_with_retry_after_while_healthz_still_answers() {
 }
 
 #[test]
+fn a_megabyte_of_brackets_is_400_and_the_server_keeps_serving() {
+    // Before the JSON nesting cap, this body overflowed a service
+    // worker's stack and aborted the whole process.
+    let server = start_reactor(service_in(WrapperLanguage::XPath));
+    let reply = raw_roundtrip(
+        &server.addr(),
+        &framed("POST", "/extract", &"[".repeat(1 << 20)),
+    );
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+    let healthz = raw_roundtrip(&server.addr(), &framed("GET", "/healthz", ""));
+    assert!(healthz.starts_with(b"HTTP/1.1 200"));
+    let extract = format!(r#"{{"site":"dealers","html":"{PAGE}"}}"#);
+    let reply = raw_roundtrip(&server.addr(), &framed("POST", "/extract", &extract));
+    assert!(String::from_utf8_lossy(&reply).contains("OMEGA GROUP"));
+    server.shutdown();
+}
+
+#[test]
 fn accept_backpressure_parks_excess_connections_in_the_backlog() {
     let server = Server::bind(service_in(WrapperLanguage::XPath), "127.0.0.1:0")
         .expect("bind")
