@@ -364,6 +364,10 @@ impl HealthTracker {
             state.miss_window.pop_front();
         }
 
+        // Only the newest `retain_pages` healthy pages of this request
+        // can survive the ring, so older ones are never cloned into it.
+        let healthy = observations.iter().filter(|p| p.error.is_none()).count();
+        let mut unretained = healthy.saturating_sub(t.retain_pages);
         for page in observations {
             if page.error.is_some() {
                 state.error_pages += 1;
@@ -380,11 +384,15 @@ impl HealthTracker {
             // Parse failures are not useful relearn material; healthy
             // and drifted pages both are.
             if page.error.is_none() {
-                state
-                    .retained
-                    .push_back((page.html.clone(), page.is_empty()));
-                while state.retained.len() > t.retain_pages {
-                    state.retained.pop_front();
+                if unretained > 0 {
+                    unretained -= 1;
+                } else {
+                    state
+                        .retained
+                        .push_back((page.html.clone(), page.is_empty()));
+                    while state.retained.len() > t.retain_pages {
+                        state.retained.pop_front();
+                    }
                 }
             }
             if !page.is_empty() && state.baseline.is_none() {
@@ -662,6 +670,44 @@ mod tests {
             "oldest first, oldest evicted"
         );
         assert!(retained.iter().any(|(_, empty)| *empty));
+    }
+
+    #[test]
+    fn retained_ring_matches_clone_every_page_model() {
+        // The ring after each request must equal pushing every healthy
+        // page and popping down to capacity, whatever the request size
+        // relative to `retain_pages` (16 here) and wherever its error
+        // pages fall.
+        let t = HealthTracker::new(HealthThresholds::default());
+        let cap = t.thresholds().retain_pages;
+        assert_eq!(cap, 16);
+        let mut model: VecDeque<(String, bool)> = VecDeque::new();
+        let mut next = 0;
+        for (round, &size) in [1, 16, 17, 32, 40, 17, 1, 40, 16].iter().enumerate() {
+            let pages: Vec<PageObservation> = (0..size)
+                .map(|i| {
+                    next += 1;
+                    PageObservation {
+                        html: format!("<p>page {next}</p>"),
+                        values: usize::from(next % 3 != 0),
+                        chars: 5,
+                        error: ((i + round) % 5 == 2).then(|| "parse error".to_string()),
+                    }
+                })
+                .collect();
+            for p in pages.iter().filter(|p| p.error.is_none()) {
+                model.push_back((p.html.clone(), p.is_empty()));
+                while model.len() > cap {
+                    model.pop_front();
+                }
+            }
+            t.observe("s", &pages, None);
+            assert_eq!(
+                t.retained_pages("s"),
+                model.iter().cloned().collect::<Vec<_>>(),
+                "ring after a {size}-page request"
+            );
+        }
     }
 
     #[test]

@@ -82,6 +82,11 @@
 //! steady state is the fast full-replay path, with stitching reserved
 //! for first sights of new shapes.
 //!
+//! A lookup tries the whole-page key first and detects the page's record
+//! layout only when that misses. An exact hit, the steady state of fixed
+//! and variable-length streams alike, replays without ever computing
+//! the layout: it pays for the whole-page fingerprint alone.
+//!
 //! Replay output — full, partial, and fallback — is byte-identical to
 //! cache-off evaluation, enforced by `tests/xpath_differential.rs`
 //! across engines and thread counts. [`TemplateCache::replay_stats`]
@@ -270,10 +275,26 @@ impl TemplateCache {
         }
     }
 
+    /// The exact step of a lookup: the ready whole-page trace for `key`,
+    /// counted as a full replay, or `None`. Needs only the whole-page
+    /// key, so callers try it before computing the page's record layout
+    /// and fall back to [`TemplateCache::lookup`] on `None`.
+    fn lookup_exact(&self, key: (u32, u64)) -> Option<Arc<Trace>> {
+        match self.state.lock().unwrap().get(&key) {
+            Some(Entry::Ready(trace)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(trace))
+            }
+            _ => None,
+        }
+    }
+
     /// Decides the evaluation path for a page. An exact whole-page trace
     /// wins (verbatim replay); otherwise a ready factored frame stitches
     /// a partial replay; otherwise the second sight of either the page
-    /// or its frame records, and first sights bypass.
+    /// or its frame records, and first sights bypass. Re-checks the
+    /// exact entry, so a trace stored since a missed
+    /// [`TemplateCache::lookup_exact`] still replays (and counts once).
     fn lookup(&self, key: (u32, u64), frame_key: Option<u64>) -> Lookup {
         let mut state = self.state.lock().unwrap();
         if let Some(Entry::Ready(trace)) = state.get(&key) {
@@ -685,6 +706,10 @@ impl BatchEvaluator {
         let idx = doc.index();
         if let Some(cache) = &self.cache {
             let key = (doc.len() as u32, idx.template_fingerprint());
+            if let Some(trace) = cache.lookup_exact(key) {
+                return self.evaluate_replay(doc, idx, &trace, sink);
+            }
+            // Only a whole-page miss needs the record layout.
             let layout = idx.record_layout();
             match cache.lookup(key, layout.map(|l| l.frame_fingerprint)) {
                 Lookup::Replay(trace) => return self.evaluate_replay(doc, idx, &trace, sink),
@@ -1632,6 +1657,42 @@ mod tests {
         assert_eq!(stats.record_fallbacks, 0);
         assert_eq!(stats.misses, 2, "page 0 bypasses, page 1 records");
         assert_eq!(batch.template_cache().unwrap().stats(), (3, 2));
+    }
+
+    #[test]
+    fn exact_hits_never_compute_the_record_layout() {
+        // 3 records: bypass, record, exact replay; 4: frame replay
+        // (promoted), then exact replay; a non-listing page misses.
+        let counts = [3usize, 3, 3, 4, 4];
+        let pages: Vec<aw_dom::Document> = counts
+            .iter()
+            .map(|&n| varlen_page(&vec![("DEALER", true); n]))
+            .chain([parse("<div class='nav'>home</div><p>no dealers</p>")])
+            .collect();
+        let paths = candidate_set();
+        let batch = BatchEvaluator::from_xpaths(&paths);
+        assert_all_match_reference(&batch, &paths, &pages);
+        let computed: Vec<bool> = pages
+            .iter()
+            .map(|p| p.index().record_layout_computed())
+            .collect();
+        assert_eq!(
+            computed,
+            [true, true, false, true, false, true],
+            "only whole-page misses detect the record layout"
+        );
+        let stats = batch.template_cache().unwrap().replay_stats();
+        assert_eq!(
+            (stats.full_replays, stats.frame_replays, stats.misses),
+            (2, 1, 3)
+        );
+
+        // Cache off: no lookup, so no layout either.
+        let page = varlen_page(&[("DEALER", true); 3]);
+        BatchEvaluator::from_xpaths(&paths)
+            .with_cache(false)
+            .evaluate(&page);
+        assert!(!page.index().record_layout_computed());
     }
 
     #[test]

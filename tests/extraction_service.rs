@@ -250,12 +250,15 @@ fn concurrent_removes_under_load_leave_survivors_serving() {
     let service = Arc::new(ExtractionService::new(Arc::clone(&registry)));
     let page = "<table class='stores'><tr><td><b>OMEGA</b></td><td><u>9 Elm</u></td></tr></table>";
     let stop = AtomicBool::new(false);
+    // Removals start only once some request has been served, so the
+    // load really overlaps them however the threads are scheduled.
+    let serving = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         let mut checkers = Vec::new();
         for _ in 0..4 {
             let service = Arc::clone(&service);
-            let (sites, stop) = (&sites, &stop);
+            let (sites, stop, serving) = (&sites, &stop, &serving);
             checkers.push(scope.spawn(move || {
                 let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -264,6 +267,7 @@ fn concurrent_removes_under_load_leave_survivors_serving() {
                             Ok(response) => {
                                 assert_eq!(response.pages, vec![vec!["OMEGA".to_string()]]);
                                 served += 1;
+                                serving.store(true, Ordering::Relaxed);
                             }
                             Err(AwError::UnknownSite(key)) => assert_eq!(&key, site),
                             Err(other) => panic!("unexpected error: {other}"),
@@ -272,6 +276,9 @@ fn concurrent_removes_under_load_leave_survivors_serving() {
                 }
                 served
             }));
+        }
+        while !serving.load(Ordering::Relaxed) && !checkers.iter().all(|c| c.is_finished()) {
+            std::thread::yield_now();
         }
         for (i, site) in sites.iter().enumerate() {
             if i % 2 == 1 {

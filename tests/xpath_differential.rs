@@ -682,6 +682,151 @@ fn record_replay_survives_dropout_and_markup_drift() {
 }
 
 #[test]
+fn interleaved_exact_frame_and_miss_pages_agree_across_thread_counts() {
+    // Two sites, each a stream that interleaves the three cache paths:
+    // exact whole-page replays (which skip record-layout detection),
+    // frame replays (new record counts or variants, which detect it) and
+    // misses (first and second sights, and non-listing pages without a
+    // layout). Cache-on must equal cache-off and the reference at every
+    // thread count; at one thread the path of every page is pinned.
+    let listing = |site: usize, records: &[bool]| -> String {
+        let rows: String = records
+            .iter()
+            .enumerate()
+            .map(|(i, &phone)| {
+                let tel = if phone {
+                    format!("<td>555-01{i:02}</td>")
+                } else {
+                    String::new()
+                };
+                if site == 0 {
+                    format!("<tr><td><u>NAME {i}</u><br>{i} Elm St</td>{tel}</tr>")
+                } else {
+                    format!("<li><b>SHOP {i}</b><span>{i} Oak Rd</span>{tel}</li>")
+                }
+            })
+            .collect();
+        let body = if site == 0 {
+            format!("<table class='dealerlinks'>{rows}</table>")
+        } else {
+            format!("<ul class='stores'>{rows}</ul>")
+        };
+        format!(
+            "<div class='nav'><h1>Site {site}</h1></div>{body}\
+             <div class='footer'><p>contact</p></div>"
+        )
+    };
+    let empty = |site: usize| -> String {
+        format!("<div class='nav'><h1>Site {site}</h1></div><p>no results</p>")
+    };
+    // (page, expected path at one thread); F = full, R = frame, M = miss.
+    let stream = |site: usize| -> Vec<(String, char)> {
+        let full = |n: usize| listing(site, &vec![true; n]);
+        vec![
+            (full(3), 'M'),
+            (full(3), 'M'),
+            (full(4), 'R'),
+            (full(3), 'F'),
+            (full(4), 'F'),
+            (listing(site, &[true, true, false, true, true]), 'R'),
+            (empty(site), 'M'),
+            (full(3), 'F'),
+            (listing(site, &[true, true, false, true, true]), 'F'),
+            (empty(site), 'M'),
+            (full(6), 'R'),
+            (empty(site), 'F'),
+        ]
+    };
+    // Interleave the two sites page by page.
+    let (a, b) = (stream(0), stream(1));
+    let html: Vec<(usize, String, char)> = a
+        .into_iter()
+        .zip(b)
+        .flat_map(|(x, y)| [(0, x.0, x.1), (1, y.0, y.1)])
+        .collect();
+    assert!(aw_dom::parse(&empty(0)).index().record_layout().is_none());
+
+    let mut rng = StdRng::seed_from_u64(0x1E4F);
+    let mut tagged: Vec<(usize, XPath)> = Vec::new();
+    for site in 0..2 {
+        tagged.extend((0..25).map(|_| (site, random_xpath(&mut rng))));
+    }
+    for targeted in [
+        "//table[@class='dealerlinks']/tr/td/u/text()",
+        "//tr/td[2]/text()",
+        "//tr[2]/td/u/text()",
+        "//ul[@class='stores']/li/b/text()",
+        "//li/span/text()",
+        "//li[3]/td/text()",
+        "//div[@class='footer']/p/text()",
+        "//p/text()",
+    ] {
+        for site in 0..2 {
+            tagged.push((site, aw_xpath::parse_xpath(targeted).unwrap()));
+        }
+    }
+
+    type PageResults = Vec<Vec<(u32, Vec<aw_dom::NodeId>)>>;
+    let mut first: Option<PageResults> = None;
+    for threads in [1, 2, 8] {
+        // Fresh pages and caches per thread count, so every run starts
+        // cold and layouts are computed only by this run.
+        let docs: Vec<Document> = html.iter().map(|(_, h, _)| aw_dom::parse(h)).collect();
+        let pages: Vec<(usize, &Document)> = html.iter().map(|(s, _, _)| *s).zip(&docs).collect();
+        let cached = ShardedBatch::from_xpaths(tagged.iter().map(|(s, xp)| (*s, xp)));
+        let uncached =
+            ShardedBatch::from_xpaths(tagged.iter().map(|(s, xp)| (*s, xp))).with_cache(false);
+        let exec = Executor::new(threads);
+        let on = cached.evaluate_pages(&pages, &exec);
+        let off = uncached.evaluate_pages(&pages, &exec);
+        assert_eq!(on, off, "cache-on != cache-off at {threads} threads");
+        for (p, (&(_, page), page_results)) in pages.iter().zip(&on).enumerate() {
+            for (slot, nodes) in page_results {
+                assert_eq!(
+                    nodes,
+                    &reference::evaluate(&tagged[*slot as usize].1, page),
+                    "threads {threads}, page {p}, slot {slot}"
+                );
+            }
+        }
+        match &first {
+            None => first = Some(on),
+            Some(expected) => assert_eq!(&on, expected, "threads {threads}"),
+        }
+
+        let replay = cached.template_replay_stats().expect("cache enabled");
+        assert_eq!(
+            replay.full_replays + replay.frame_replays + replay.misses,
+            pages.len() as u64,
+            "every page takes exactly one path at {threads} threads: {replay:?}"
+        );
+        if threads == 1 {
+            let count = |c: char| html.iter().filter(|(_, _, e)| *e == c).count() as u64;
+            assert_eq!(
+                replay,
+                aw_xpath::ReplayStats {
+                    full_replays: count('F'),
+                    frame_replays: count('R'),
+                    // Per site: 4 + 4 records stitched on the second and
+                    // sixth pages, 6 of 6 on the eleventh; the phone-less
+                    // record falls back once.
+                    record_replays: 2 * (4 + 4 + 6),
+                    record_fallbacks: 2,
+                    misses: count('M'),
+                },
+            );
+            for ((_, h, expected), doc) in html.iter().zip(&docs) {
+                assert_eq!(
+                    doc.index().record_layout_computed(),
+                    *expected != 'F',
+                    "layout detection on a {expected} page: {h}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn streaming_parse_is_byte_identical_through_sharded_extraction() {
     use aw_annotate::{DictionaryAnnotator, MatchMode};
     use aw_enum::{sharded_xpath_space, top_down};
