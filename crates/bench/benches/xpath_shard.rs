@@ -869,6 +869,42 @@ fn main() {
     let t_v3_cold = time(cold_passes, &v3_cold);
     let bundle_cold_start = t_v2_cold / t_v3_cold;
 
+    // ── Registry fault flatness ──────────────────────────────────────
+    // A lazy registry's fault must cost the same whatever its residency
+    // cap. Over the bundle_cold store: fill a registry to the cap
+    // (untimed), then time a worst-case stream in which every request
+    // faults a new site in and evicts one. µs per fault+evict at caps
+    // 128, 1024 and 8192 land under `registry_fault`; cap 128 over cap
+    // 8192 is gated as `registry_fault_flatness` (ideal 1).
+    const TIMED_FAULTS: usize = 256;
+    let fault_store = Arc::new(BundleStore::open(&v3_path).expect("v3 opens"));
+    let fault_keys: Vec<String> = fault_store.site_keys().map(str::to_string).collect();
+    let fault_micros = |cap: usize| -> f64 {
+        let mut best = f64::INFINITY;
+        for _ in 0..passes.max(3) {
+            let registry = WrapperRegistry::from_store(Arc::clone(&fault_store), Some(cap));
+            for key in &fault_keys[..cap] {
+                registry
+                    .get_or_fault(key)
+                    .expect("segment")
+                    .expect("indexed");
+            }
+            let t = Instant::now();
+            for key in &fault_keys[cap..cap + TIMED_FAULTS] {
+                black_box(registry.get_or_fault(key).expect("segment"));
+            }
+            best = best.min(t.elapsed().as_secs_f64() * 1e6 / TIMED_FAULTS as f64);
+            assert_eq!(
+                registry.residency_stats().evictions,
+                TIMED_FAULTS as u64,
+                "every timed request evicts"
+            );
+        }
+        best
+    };
+    let fault_us = [128, 1024, 8192].map(fault_micros);
+    let registry_fault_flatness = fault_us[0] / fault_us[2];
+
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -981,6 +1017,14 @@ fn main() {
         v2_bytes,
         t_v3_cold * ms,
         v3_bytes,
+    );
+    println!(
+        "registry fault+evict ({} sites): {:.2} µs at cap 128, {:.2} µs at cap 1024, \
+         {:.2} µs at cap 8192 → flatness {registry_fault_flatness:.2}",
+        fault_keys.len(),
+        fault_us[0],
+        fault_us[1],
+        fault_us[2],
     );
     if parallel.is_empty() {
         println!("parallel scaling: skipped ({available} core available)");
@@ -1096,6 +1140,10 @@ fn main() {
                 // v2-eager over v3-lazy time-to-first-extraction on the
                 // bundle_cold corpus (absolutes under `bundle_cold`).
                 ("bundle_cold_start", num(bundle_cold_start)),
+                // Lazy-registry µs per fault+evict at cap 128 over cap
+                // 8192 (absolutes under `registry_fault`): gated, a
+                // fault must not cost more with a larger cap.
+                ("registry_fault_flatness", num(registry_fault_flatness)),
                 ("parallel_scaling", scaling(&parallel)),
             ]),
         ),
@@ -1155,6 +1203,15 @@ fn main() {
                 ("v3_bytes", num(v3_bytes as f64)),
                 ("v2_cold_ms", num(t_v2_cold * ms)),
                 ("v3_cold_ms", num(t_v3_cold * ms)),
+            ]),
+        ),
+        (
+            "registry_fault",
+            obj(vec![
+                ("sites", num(fault_keys.len() as f64)),
+                ("us_cap_128", num(fault_us[0])),
+                ("us_cap_1024", num(fault_us[1])),
+                ("us_cap_8192", num(fault_us[2])),
             ]),
         ),
         (

@@ -16,7 +16,5 @@ pub mod report;
 
 pub use harness::{evaluate, learn_annotator, learn_model, split_half, EvalOutcome, Method};
 pub use metrics::{macro_average, prf1, PrF1};
-#[allow(deprecated)]
-pub use parallel::par_map;
-pub use parallel::{executor, Executor, WorkPool};
+pub use parallel::{executor, Executor};
 pub use report::{to_json, write_json};

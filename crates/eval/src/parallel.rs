@@ -1,81 +1,16 @@
-//! Parallel execution facade for the experiment harness.
+//! Parallel execution for the experiment harness.
 //!
 //! The implementation lives in [`aw_pool`] (a dependency-free crate low
 //! enough in the workspace graph that the xpath/rank/core layers use it
-//! too). Since the work-stealing refactor the harness maps over sites
-//! through [`executor`] — the process-global [`Executor`] — so the
-//! page-parallel stages nested under each site (batch xpath evaluation,
-//! rule replay) feed the *same* worker team instead of spawning
-//! competing scoped pools. The historical per-site entry point
-//! [`par_map`] survives as a deprecated facade over it.
+//! too). The harness maps over sites through [`executor`] — the
+//! process-global [`Executor`] — so the page-parallel stages nested
+//! under each site (batch xpath evaluation, rule replay) feed the *same*
+//! worker team instead of spawning competing pools.
 
-pub use aw_pool::{Executor, WorkPool};
+pub use aw_pool::Executor;
 
 /// The process-global work-stealing executor the harness maps through
 /// (honours `AW_THREADS`; see [`Executor::global`]).
 pub fn executor() -> &'static Executor {
     Executor::global()
-}
-
-/// Applies `f` to every item on all available cores, preserving order.
-#[deprecated(
-    note = "use aw_eval::executor().map(..) — the shared work-stealing executor \
-            replaces the per-call site-only pool"
-)]
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    executor().map(items, f)
-}
-
-#[cfg(test)]
-mod tests {
-    // The deprecated facade must stay behaviourally identical to the
-    // executor it delegates to.
-    #![allow(deprecated)]
-
-    use super::*;
-
-    #[test]
-    fn preserves_order() {
-        let items: Vec<u64> = (0..500).collect();
-        let out = par_map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn facade_matches_direct_executor_use() {
-        let items: Vec<u64> = (0..777).collect();
-        let via_facade = par_map(&items, |&x| x.rotate_left(3) ^ 0x5A);
-        let via_executor = executor().map(&items, |&x| x.rotate_left(3) ^ 0x5A);
-        let sequential: Vec<u64> = items.iter().map(|&x| x.rotate_left(3) ^ 0x5A).collect();
-        assert_eq!(via_facade, via_executor);
-        assert_eq!(via_facade, sequential);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<u32> = par_map(&Vec::<u32>::new(), |&x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_item() {
-        assert_eq!(par_map(&[7], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn propagates_panics() {
-        let items: Vec<u32> = (0..64).collect();
-        let _ = par_map(&items, |&x| {
-            if x == 13 {
-                panic!("boom");
-            }
-            x
-        });
-    }
 }

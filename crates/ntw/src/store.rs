@@ -250,11 +250,16 @@ enum SegmentSource {
 /// `bundle_cold_start` bench metric).
 ///
 /// The handle is `Sync`, and concurrent [`BundleStore::load`] calls do
-/// **not** serialize: a file-backed store draws an independent `File`
-/// handle from a small reader pool per load (growing the pool on
+/// not serialize on the store: a file-backed store draws an independent
+/// `File` handle from a small reader pool per load (growing the pool on
 /// demand, retiring descriptors beyond a small cap), and an in-memory
-/// store reads by pure slicing — so simultaneous lazy faults from many
-/// connections overlap instead of queuing on one shared cursor.
+/// store reads by pure slicing, so there is no shared cursor. A lazy
+/// [`crate::WrapperRegistry`] still loads under its residency lock, so
+/// its concurrent faults queue there, one at a time.
+///
+/// Sites are also addressed by **ordinal**: a site's position in the
+/// sorted index, dense in `0..len()`. The lazy registry keys its slot
+/// table by it.
 pub struct BundleStore {
     source: SegmentSource,
     /// Sorted by key (validated at open), so lookup is binary search.
@@ -415,7 +420,7 @@ impl BundleStore {
 
     /// True when the bundle indexes `site` (no segment I/O).
     pub fn contains(&self, site: &str) -> bool {
-        self.find(site).is_some()
+        self.ordinal(site).is_some()
     }
 
     /// The indexed site keys, ascending (no segment I/O).
@@ -429,11 +434,17 @@ impl BundleStore {
         self.index.iter().map(|e| (e.key.as_str(), e.len))
     }
 
-    fn find(&self, site: &str) -> Option<&IndexEntry> {
+    /// The site's ordinal — its position in the sorted index — by
+    /// binary search (no segment I/O).
+    pub(crate) fn ordinal(&self, site: &str) -> Option<usize> {
         self.index
             .binary_search_by(|e| e.key.as_str().cmp(site))
             .ok()
-            .map(|i| &self.index[i])
+    }
+
+    /// The site key at `ordinal` (< [`BundleStore::len`]).
+    pub(crate) fn key(&self, ordinal: usize) -> &str {
+        &self.index[ordinal].key
     }
 
     /// Loads one site's wrapper: seek to its segment, verify the
@@ -442,19 +453,24 @@ impl BundleStore {
     /// [`AwError::TruncatedBundle`] (naming the site) when the segment
     /// bytes are damaged.
     pub fn load(&self, site: &str) -> Result<Option<CompiledWrapper>, AwError> {
-        let Some(entry) = self.find(site) else {
-            return Ok(None);
-        };
+        self.ordinal(site)
+            .map(|ordinal| self.load_ordinal(ordinal))
+            .transpose()
+    }
+
+    /// [`BundleStore::load`] for a site already resolved to its ordinal
+    /// (< [`BundleStore::len`]).
+    pub(crate) fn load_ordinal(&self, ordinal: usize) -> Result<CompiledWrapper, AwError> {
+        let entry = &self.index[ordinal];
         let bytes = self.read_segment(entry)?;
         let payload = std::str::from_utf8(&bytes).map_err(|_| AwError::CorruptSegment {
             site: entry.key.clone(),
             detail: "segment is not UTF-8".into(),
         })?;
-        let wrapper = CompiledWrapper::from_json(payload).map_err(|e| AwError::CorruptSegment {
+        CompiledWrapper::from_json(payload).map_err(|e| AwError::CorruptSegment {
             site: entry.key.clone(),
             detail: e.to_string(),
-        })?;
-        Ok(Some(wrapper))
+        })
     }
 
     fn read_segment(&self, entry: &IndexEntry) -> Result<Vec<u8>, AwError> {
@@ -521,11 +537,9 @@ impl BundleStore {
     /// unpack path, and how an eager (non-`--lazy`) server consumes a
     /// v3 artifact.
     pub fn load_all(&self) -> Result<WrapperBundle, AwError> {
-        let keys: Vec<String> = self.index.iter().map(|e| e.key.clone()).collect();
         let mut bundle = WrapperBundle::new();
-        for key in keys {
-            let wrapper = self.load(&key)?.expect("indexed key loads");
-            bundle.insert(key, wrapper);
+        for ordinal in 0..self.len() {
+            bundle.insert(self.key(ordinal), self.load_ordinal(ordinal)?);
         }
         Ok(bundle)
     }

@@ -1,12 +1,12 @@
 //! The shared work-stealing executor.
 //!
-//! [`WorkPool`](crate::WorkPool) spawns a fresh team of scoped threads on
-//! every `map` call, which is fine for one flat loop but wrong for the
-//! workspace's real shape: the harness maps over *sites* while the xpath
-//! layer maps over each site's *pages*. Nesting scoped pools
-//! oversubscribes the machine (every outer worker spawns its own inner
-//! team), and the historical workaround — parallelize only one level —
-//! leaves cores idle whenever the two levels are unevenly sized.
+//! A pool that spawns a fresh team of scoped threads on every `map` call
+//! is fine for one flat loop but wrong for the workspace's real shape:
+//! the harness maps over *sites* while the xpath layer maps over each
+//! site's *pages*. Nesting scoped pools oversubscribes the machine
+//! (every outer worker spawns its own inner team), and the historical
+//! workaround — parallelize only one level — leaves cores idle whenever
+//! the two levels are unevenly sized.
 //!
 //! An [`Executor`] owns one persistent team of workers and lets *both*
 //! levels feed it:
@@ -20,8 +20,7 @@
 //! * **Chunked claiming** — a task handle is not one item but a ticket
 //!   into a *batch*: whoever picks it up claims chunks of consecutive
 //!   items from the batch's atomic cursor until the batch is drained
-//!   (the same dynamic load balancing as `WorkPool`, minus the thread
-//!   spawning).
+//!   (dynamic load balancing without spawning threads per call).
 //! * **Cooperative blocking** — the thread that called `map` claims
 //!   chunks of its own batch first, then *helps* with other queued work
 //!   while the last stolen chunks finish elsewhere; a worker is never

@@ -1,226 +1,29 @@
-//! # aw-pool — the workspace's parallel execution primitives
+//! # aw-pool — the workspace's parallel execution primitive
 //!
-//! Two primitives, one contract: apply a function to every item of a
-//! slice on all cores, returning outputs **in input order**, bit-for-bit
-//! identical at every thread count.
+//! [`Executor`] applies a function to every item of a slice on all
+//! cores, returning outputs **in input order**, bit-for-bit identical at
+//! every thread count. It is a **persistent work-stealing pool**
+//! (per-worker deques, chunked claiming, a shared injector) that nested
+//! parallel loops feed cooperatively. The engine, the xpath batch/shard
+//! layers, rule-set replay and the experiment harness route through it
+//! ([`Executor::global`] by default): site-level and page-level work
+//! items interleave in one pool instead of nested thread teams
+//! oversubscribing each other. See the [`executor`] module docs for the
+//! execution model.
 //!
-//! * [`Executor`] — a **persistent work-stealing pool** (per-worker
-//!   deques, chunked claiming, a shared injector) that nested parallel
-//!   loops feed cooperatively. This is what the engine, the xpath
-//!   batch/shard layers, rule-set replay and the experiment harness
-//!   route through ([`Executor::global`] by default): site-level and
-//!   page-level work items interleave in one pool instead of nested
-//!   thread teams oversubscribing each other. See the [`executor`]
-//!   module docs for the execution model.
-//! * [`WorkPool`] — the original single-shot primitive: every `map`
-//!   spawns a team of scoped threads that exits before the call returns.
-//!   Kept as the zero-state option for flat, one-level loops and as the
-//!   simplest possible reference implementation of the ordering
-//!   contract; prefer [`Executor`] anywhere two layers might both be
-//!   parallel.
-//!
-//! Shared design notes:
+//! Design notes:
 //!
 //! * **Chunked claiming** — workers claim *chunks* of consecutive items
 //!   from one atomic counter, several chunks per thread, so uneven task
 //!   costs (pages differ wildly in size) still balance while touching the
 //!   counter `O(chunks)` times instead of `O(items)`.
 //! * **Deterministic** — output order never depends on thread count or
-//!   scheduling. The `WorkPool` stitches per-thread `(chunk, results)`
-//!   pairs back in input order; the `Executor` writes results into a
-//!   slot-per-item buffer.
-//! * **Thread-count policy** — `auto()` on either primitive honours the
-//!   `AW_THREADS` environment variable; invalid values (0, non-numeric)
+//!   scheduling: results are written into a slot-per-item buffer.
+//! * **Thread-count policy** — [`Executor::auto`] and
+//!   [`Executor::global`] honour the `AW_THREADS` environment variable; invalid values (0, non-numeric)
 //!   are rejected with a clear error ([`env_threads`] /
 //!   [`parse_threads`] expose the validation for CLI flags).
 
 pub mod executor;
 
 pub use executor::{env_threads, parse_threads, Executor, ThreadsError};
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// How many chunks each thread gets on average; >1 so uneven per-item
-/// costs rebalance, small enough that claiming stays cheap.
-const CHUNKS_PER_THREAD: usize = 8;
-
-/// A thread-count policy for order-preserving parallel maps over scoped
-/// threads, spawned per call.
-///
-/// Prefer [`Executor`] for anything that might nest — a `WorkPool::map`
-/// inside another parallel loop spawns its own thread team and
-/// oversubscribes the machine, which is exactly what the executor's
-/// shared deques avoid.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkPool {
-    threads: usize,
-}
-
-impl WorkPool {
-    /// A pool using all available cores (the `AW_THREADS` environment
-    /// variable overrides the count — handy for scaling experiments and
-    /// CI determinism runs).
-    ///
-    /// # Panics
-    ///
-    /// On an invalid `AW_THREADS` value (0, non-numeric); validate with
-    /// [`env_threads`] first to surface the error gracefully.
-    pub fn auto() -> WorkPool {
-        let threads = env_threads()
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            });
-        WorkPool { threads }
-    }
-
-    /// A pool with an explicit thread count (clamped to ≥ 1).
-    pub fn with_threads(threads: usize) -> WorkPool {
-        WorkPool {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Applies `f` to every item, preserving input order in the output.
-    ///
-    /// Items are processed in chunks claimed dynamically by `threads`
-    /// scoped workers; a panicking `f` is re-raised on the caller with
-    /// the first failing worker's payload.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let threads = self.threads.min(items.len());
-        if threads <= 1 {
-            return items.iter().map(&f).collect();
-        }
-        let chunk = items.len().div_ceil(threads * CHUNKS_PER_THREAD).max(1);
-        let n_chunks = items.len().div_ceil(chunk);
-        let next = AtomicUsize::new(0);
-
-        let mut produced: Vec<(usize, Vec<R>)> = Vec::with_capacity(n_chunks);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * chunk;
-                            let hi = (lo + chunk).min(items.len());
-                            mine.push((c, items[lo..hi].iter().map(&f).collect()));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => produced.extend(part),
-                    // Re-raise the first failing worker's panic (the
-                    // scope would re-raise anyway, with a poorer payload).
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-
-        produced.sort_unstable_by_key(|&(c, _)| c);
-        let mut out = Vec::with_capacity(items.len());
-        for (_, part) in produced {
-            out.extend(part);
-        }
-        out
-    }
-}
-
-impl Default for WorkPool {
-    fn default() -> Self {
-        WorkPool::auto()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn preserves_order() {
-        let items: Vec<u64> = (0..5000).collect();
-        let out = WorkPool::auto().map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn identical_across_thread_counts() {
-        let items: Vec<u64> = (0..997).collect(); // prime length: ragged chunks
-        let expected: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xA5).collect();
-        for threads in [1, 2, 3, 5, 8, 64] {
-            let out = WorkPool::with_threads(threads).map(&items, |&x| x.wrapping_mul(x) ^ 0xA5);
-            assert_eq!(out, expected, "thread count {threads}");
-        }
-    }
-
-    #[test]
-    fn uneven_task_sizes_stress() {
-        // Task cost varies by four orders of magnitude, with the heavy
-        // spikes clustered at the front (the worst case for static
-        // splitting): dynamic chunk claiming must still return exact,
-        // ordered results.
-        let items: Vec<u64> = (0..600)
-            .map(|i| if i % 97 == 0 { 40_000 } else { i % 13 })
-            .collect();
-        let work = |&n: &u64| -> u64 {
-            let mut acc = 0u64;
-            for k in 0..n {
-                acc = acc.wrapping_add(k).rotate_left(1);
-            }
-            acc
-        };
-        let expected: Vec<u64> = items.iter().map(work).collect();
-        for threads in [2, 4, 7] {
-            assert_eq!(
-                WorkPool::with_threads(threads).map(&items, work),
-                expected,
-                "thread count {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let out: Vec<u32> = WorkPool::auto().map(&Vec::<u32>::new(), |&x| x);
-        assert!(out.is_empty());
-        assert_eq!(WorkPool::auto().map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn thread_count_clamps_to_one() {
-        let pool = WorkPool::with_threads(0);
-        assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.map(&[1, 2, 3], |&x: &i32| x), vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn propagates_panics() {
-        let items: Vec<u32> = (0..64).collect();
-        let _ = WorkPool::with_threads(4).map(&items, |&x| {
-            if x == 13 {
-                panic!("boom");
-            }
-            x
-        });
-    }
-}

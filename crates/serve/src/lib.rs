@@ -29,8 +29,11 @@
 //! When the service's registry is **lazy** (`awrap serve --lazy`, built
 //! over a v3 [`aw_core::BundleStore`]), `GET /wrappers` lists only the
 //! *resident* wrappers plus a `"residency"` object (cap, store size,
-//! fault/eviction/grace counters); extraction requests fault wrappers
-//! in transparently, so the endpoint surface is otherwise identical.
+//! fault/eviction/grace counters, pinned inserts); extraction requests
+//! fault wrappers in transparently (CLOCK eviction over a slot table
+//! keeps each fault's cost independent of the cap), so the endpoint
+//! surface is otherwise identical. `POST /wrappers` detaches the store:
+//! the upload becomes the registry's whole content.
 //!
 //! ## Threading model
 //!
@@ -301,6 +304,7 @@ fn list_wrappers(service: &ExtractionService) -> Response {
         ("evictions", Value::Number(stats.evictions as f64)),
         ("grace_entries", Value::Number(stats.grace_entries as f64)),
         ("grace_hits", Value::Number(stats.grace_hits as f64)),
+        ("pinned", Value::Number(stats.pinned as f64)),
     ]);
     // Request-path parse counters: how many pages were parsed, by which
     // parse path (streaming one-pass vs classic fallback), and the
@@ -338,8 +342,9 @@ fn list_wrappers(service: &ExtractionService) -> Response {
 fn load_wrappers(service: &ExtractionService, body: &[u8]) -> Response {
     // Any artifact generation — v1/v2 JSON or v3 binary — loaded
     // eagerly: an upload is a full-registry hot swap, not a store
-    // attach. Errors are the client's payload's fault, so even
-    // corrupt-segment errors are 400 here.
+    // attach, and it detaches a lazy registry's store. Errors are the
+    // client's payload's fault, so even corrupt-segment errors are 400
+    // here.
     match ArtifactReader::read_bytes(body) {
         Err(e) => error_response_as(400, &e),
         Ok(bundle) => {
@@ -916,6 +921,60 @@ mod tests {
             &request("POST", "/extract", r#"{"site":"zz","html":"<p>x</p>"}"#),
         );
         assert_eq!(missing.status, 404, "{}", missing.body);
+    }
+
+    #[test]
+    fn wrappers_upload_detaches_a_lazy_store() {
+        let json = service().registry().get("dealers").unwrap().to_json();
+        let mut stored = aw_core::WrapperBundle::new();
+        for key in ["a", "b"] {
+            stored.insert(key, CompiledWrapper::from_json(&json).unwrap());
+        }
+        let store = aw_core::BundleStore::from_bytes(stored.to_binary()).unwrap();
+        let lazy = ExtractionService::new(Arc::new(WrapperRegistry::from_store(
+            Arc::new(store),
+            Some(1),
+        )));
+        let page = "<table class='stores'><tr><td><b>OMEGA</b></td><td>9 Elm</td></tr></table>";
+        let extract = |site: &str| {
+            respond(
+                &lazy,
+                &request(
+                    "POST",
+                    "/extract",
+                    &format!(r#"{{"site":"{site}","html":"{page}"}}"#),
+                ),
+            )
+        };
+        assert_eq!(extract("a").status, 200);
+        let mut upload = aw_core::WrapperBundle::new();
+        upload.insert("b", CompiledWrapper::from_json(&json).unwrap());
+        upload.insert("c", CompiledWrapper::from_json(&json).unwrap());
+        let swapped = respond(
+            &lazy,
+            &Request {
+                method: "POST".into(),
+                path: "/wrappers".into(),
+                body: upload.to_json().into_bytes(),
+            },
+        );
+        assert_eq!(swapped.status, 200, "{}", swapped.body);
+        // The upload is the whole registry: the store-only site is gone,
+        // and both uploaded sites serve although the cap was 1.
+        let gone = extract("a");
+        assert_eq!(gone.status, 404, "{}", gone.body);
+        for site in ["b", "c"] {
+            let r = extract(site);
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert!(r.body.contains("OMEGA"), "{}", r.body);
+        }
+        let listed = respond(&lazy, &request("GET", "/wrappers", ""));
+        assert!(
+            listed.body.contains("\"store_sites\":null"),
+            "{}",
+            listed.body
+        );
+        assert!(listed.body.contains("\"resident\":2"), "{}", listed.body);
     }
 
     #[test]

@@ -44,7 +44,10 @@
 //!     selects the legacy connection-per-worker loop instead. With
 //!     --lazy, FILE must be a v3 binary bundle: the registry starts
 //!     empty and faults wrappers in per site as requests name them,
-//!     keeping at most --max-resident resident (LRU eviction).
+//!     keeping at most --max-resident resident (CLOCK eviction over
+//!     a slot table, so a fault costs the same at any cap). Wrappers
+//!     swapped in by --relearn are pinned: never evicted, never
+//!     reverted to the bundle's copy.
 //!     `--addr 127.0.0.1:0` picks an ephemeral port (printed on
 //!     startup). With `--relearn`, a background worker watches
 //!     per-site extraction health and shadow-relearns degraded sites
@@ -115,7 +118,7 @@ const USAGE: &str =
   serve --bundle FILE                       serve extraction over HTTP
         [--lazy [--max-resident N]]         (--lazy: FILE is a v3 binary
         [--addr HOST:PORT] [--threads N]     bundle, wrappers fault in per
-        [--workers M] [--blocking]           site, LRU-evicted at the cap;
+        [--workers M] [--blocking]           site, CLOCK-evicted at the cap;
                                              --blocking: legacy loop instead
                                              of the keep-alive reactor)
         [--relearn --dict FILE [--lang L] [--window N] [--max-empty-rate F]]
