@@ -41,10 +41,7 @@
 //!
 //! Serving-side measurements ride on the repeated-template corpus:
 //! `service_throughput` (the request stream over real sockets through
-//! the event-driven reactor, one keep-alive connection),
-//! `service_keepalive_vs_blocking` (that stream vs the same requests
-//! through the legacy blocking loop, one TCP connection per request —
-//! gated: connection reuse must keep paying), and
+//! the event-driven reactor, one keep-alive connection) and
 //! `service_health_ratio` — the in-process stream with per-site health
 //! tracking on vs off, gated near 1.0 so the robustness loop's
 //! accounting stays effectively free. The reactor's request-latency
@@ -402,9 +399,9 @@ fn main() {
     // Every request pays parse + DocIndex build + template fingerprint
     // before any rule can run. Timed on the serialized repeated-template
     // pages: the classic two-pass path (parse the tree, then build the
-    // index over the finished arena — what `AW_STREAM_PARSE=0` serves)
-    // vs the one-pass `StreamIndexer` (`aw_dom::parse_indexed`, the
-    // request-path default). Both legs end with the fingerprint
+    // index over the finished arena — the `with_stream_parse(false)`
+    // path) vs the one-pass `StreamIndexer` (`aw_dom::parse_indexed`,
+    // the request-path default). Both legs end with the fingerprint
     // computed, because the serving path needs it for template-cache
     // lookup. The ratio is gated as `stream_parse_speedup`. Byte
     // identity of the two paths is asserted before timing (and in far
@@ -531,18 +528,12 @@ fn main() {
     let inprocess_rps = requests.len() as f64 / t_service;
     let service_health_ratio = t_service_off / t_service;
 
-    // ── HTTP serving streams ─────────────────────────────────────────
-    // The same request stream over real sockets, through both serving
-    // engines: the event-driven reactor reusing ONE keep-alive
-    // connection for the whole stream, and the legacy blocking loop
-    // paying a fresh TCP connection per request (its protocol closes
-    // after every response). `service_throughput` is the keep-alive
-    // requests/sec; the gated `service_keepalive_vs_blocking` ratio is
-    // what connection reuse buys at the socket layer. Both engines
-    // front services over the same registry, so wrapper template caches
-    // are shared and warm for both; the two streams are timed
-    // interleaved (best-of each) so machine-load drift cannot
-    // masquerade as an engine difference.
+    // ── HTTP serving stream ──────────────────────────────────────────
+    // The same request stream over real sockets through the event-driven
+    // reactor, reusing ONE keep-alive connection for the whole stream.
+    // `service_throughput` is its requests/sec (best of the passes). The
+    // reactor fronts a service over the same registry as the in-process
+    // stream, so wrapper template caches are already warm.
     let http_bodies: Vec<String> = requests
         .iter()
         .map(|(s, _, request)| {
@@ -560,14 +551,6 @@ fn main() {
         .workers(1)
         .start()
         .expect("start reactor");
-    let blocking_service =
-        Arc::new(ExtractionService::new(Arc::clone(&registry)).with_executor(seq.clone()));
-    let blocking = aw_serve::Server::bind(Arc::clone(&blocking_service), "127.0.0.1:0")
-        .expect("bind blocking")
-        .workers(1)
-        .blocking(true)
-        .start()
-        .expect("start blocking");
 
     // Reads one HTTP/1.1 response off a keep-alive stream (headers,
     // then exactly Content-Length body bytes).
@@ -626,49 +609,20 @@ fn main() {
         }
         ok
     };
-    let blocking_stream = |bodies: &[String]| -> usize {
-        use std::io::Write as _;
-        let mut ok = 0;
-        for body in bodies {
-            let mut stream =
-                std::net::TcpStream::connect(blocking.addr()).expect("connect blocking");
-            stream.set_nodelay(true).expect("nodelay");
-            stream
-                .write_all(
-                    format!(
-                        "POST /extract HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-                        body.len()
-                    )
-                    .as_bytes(),
-                )
-                .expect("send");
-            let (status, reply) = read_response(&mut stream);
-            assert_eq!(status, 200, "{reply}");
-            ok += 1;
-        }
-        ok
-    };
-    // Both engines must serve the stream correctly before timing (this
+    // The reactor must serve the stream correctly before timing (this
     // also warms wrapper caches and the reactor's accept path).
     assert_eq!(keepalive_stream(&http_bodies), http_bodies.len());
-    assert_eq!(blocking_stream(&http_bodies), http_bodies.len());
-    let (mut t_keepalive, mut t_blocking) = (f64::INFINITY, f64::INFINITY);
+    let mut t_keepalive = f64::INFINITY;
     for _ in 0..passes.max(3) {
         let t = Instant::now();
         black_box(keepalive_stream(&http_bodies));
         t_keepalive = t_keepalive.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        black_box(blocking_stream(&http_bodies));
-        t_blocking = t_blocking.min(t.elapsed().as_secs_f64());
     }
     let service_rps = http_bodies.len() as f64 / t_keepalive;
-    let blocking_rps = http_bodies.len() as f64 / t_blocking;
-    let keepalive_vs_blocking = t_blocking / t_keepalive;
     // Full-request wall-time percentiles, recorded by the reactor for
     // every request of every keep-alive pass (report-only).
     let latency = reactor_service.latency().snapshot();
     reactor.shutdown();
-    blocking.shutdown();
 
     // Self-healing recovery: a deployed wrapper defeated by breaking
     // template churn. Measured synchronously: requests of drifted
@@ -991,13 +945,9 @@ fn main() {
         service_health_ratio,
     );
     println!(
-        "HTTP serving: keep-alive reactor {:.3} ms ({:.0} rps) vs \
-         connection-per-request blocking {:.3} ms ({:.0} rps) → {:.2}x",
+        "HTTP serving: keep-alive reactor {:.3} ms ({:.0} rps)",
         t_keepalive * ms,
         service_rps,
-        t_blocking * ms,
-        blocking_rps,
-        keepalive_vs_blocking,
     );
     println!(
         "request latency (reactor, {} samples): p50 {} µs, p90 {} µs, p99 {} µs, max {} µs",
@@ -1085,7 +1035,6 @@ fn main() {
                 ("parse_stream", num(t_parse_stream * ms)),
                 ("service_stream", num(t_service * ms)),
                 ("http_keepalive_stream", num(t_keepalive * ms)),
-                ("http_blocking_stream", num(t_blocking * ms)),
                 (
                     "sharded_parallel",
                     Value::Object(
@@ -1125,10 +1074,6 @@ fn main() {
                 // HTTP stream through the reactor, over real sockets
                 // (gated like the ratios; see the baseline file).
                 ("service_throughput", num(service_rps)),
-                // Keep-alive reactor over connection-per-request
-                // blocking throughput — gated: connection reuse must
-                // keep paying at the socket layer.
-                ("service_keepalive_vs_blocking", num(keepalive_vs_blocking)),
                 // Reactor-measured p99 full-request wall time in µs —
                 // report-only (the gate reads only the metrics the
                 // baseline's min_speedup object names).
@@ -1177,9 +1122,6 @@ fn main() {
                 // Keep-alive HTTP stream through the reactor (the
                 // number `service_throughput` gates on).
                 ("requests_per_sec", num(service_rps)),
-                // Connection-per-request stream through the blocking
-                // loop, same requests over real sockets.
-                ("requests_per_sec_blocking", num(blocking_rps)),
                 // The raw ExtractionService loop with no socket at all.
                 ("requests_per_sec_inprocess", num(inprocess_rps)),
                 (

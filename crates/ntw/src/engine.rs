@@ -529,14 +529,9 @@ impl<'s> RankedWrappers<'s> {
         self.outcome.wrapper_space_size
     }
 
-    /// The legacy outcome view (shared with the deprecated facades).
+    /// The plain [`NtwOutcome`] view of the ranking.
     pub fn outcome(&self) -> &NtwOutcome {
         &self.outcome
-    }
-
-    /// Converts into the legacy [`NtwOutcome`].
-    pub fn into_outcome(self) -> NtwOutcome {
-        self.outcome
     }
 
     /// Portable rules for **all** ranked wrappers, compiled as a batched
@@ -692,28 +687,6 @@ mod tests {
             .annotator(|s: &Site| s.find_text("BETA HOME").into_iter().collect::<NodeSet>())
             .build();
         assert_eq!(by_closure.annotate(&site).unwrap().len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn facades_delegate_without_behaviour_change() {
-        let site = dealer_site();
-        let labels = noisy_labels(&site);
-        let m = model();
-        let config = NtwConfig::default();
-        let engine = Engine::builder(m.clone()).config(config.clone()).build();
-        let via_engine = engine.learn(&site, &labels).unwrap();
-        let via_facade = crate::learner::learn(&site, WrapperLanguage::XPath, &labels, &m, &config);
-        assert_eq!(via_facade.ranked.len(), via_engine.len());
-        for (a, b) in via_facade.ranked.iter().zip(via_engine.iter()) {
-            assert_eq!(a.extraction, b.extraction);
-            assert_eq!(a.rule, b.rule);
-            assert!((a.score.total - b.score.total).abs() < 1e-12);
-        }
-        let naive_facade = crate::learner::naive_wrapper(&site, WrapperLanguage::XPath, &labels);
-        let naive_engine = engine.naive(&site, &labels).unwrap();
-        assert_eq!(naive_facade.extraction, naive_engine.extraction);
-        assert_eq!(naive_facade.rule, naive_engine.rule);
     }
 
     #[test]

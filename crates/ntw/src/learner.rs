@@ -6,14 +6,11 @@
 //!    `log P(L | X) + log P(X)` (crate `aw-rank`) and rank.
 //!
 //! The public entry point is [`crate::Engine`] (`engine.learn`,
-//! `engine.naive`); the free functions [`learn`] and [`naive_wrapper`]
-//! survive as deprecated facades over it. The generic
-//! [`learn_with_feature_based`] / [`learn_with_blackbox`] remain the
-//! extension points for custom inductors outside the four built-in
-//! languages.
+//! `engine.naive`). The generic [`learn_with_feature_based`] /
+//! [`learn_with_blackbox`] remain the extension points for custom
+//! inductors outside the four built-in languages.
 
 use crate::config::{Enumeration, NtwConfig, WrapperLanguage};
-use crate::engine::Engine;
 use aw_dom::PageNode;
 use aw_enum::{bottom_up, naive, top_down, EnumerationResult};
 use aw_induct::{
@@ -51,32 +48,6 @@ impl NtwOutcome {
     pub fn best(&self) -> Option<&LearnedWrapper> {
         self.ranked.first()
     }
-}
-
-/// Learns a wrapper of the given language from noisy labels.
-///
-/// `Hlrt` has no feature-based form here, so `TopDown` silently falls back
-/// to `BottomUp` for it.
-#[deprecated(note = "build an `aw_core::Engine` (via `EngineBuilder`) and call `Engine::learn`")]
-pub fn learn(
-    site: &Site,
-    language: WrapperLanguage,
-    labels: &NodeSet,
-    model: &RankingModel,
-    config: &NtwConfig,
-) -> NtwOutcome {
-    Engine::builder(model.clone())
-        .language(language)
-        .config(config.clone())
-        .build()
-        .learn(site, labels)
-        .map(crate::engine::RankedWrappers::into_outcome)
-        // Pre-Engine behaviour: empty labels gave an empty outcome.
-        .unwrap_or_else(|_| NtwOutcome {
-            ranked: Vec::new(),
-            inductor_calls: 0,
-            wrapper_space_size: 0,
-        })
 }
 
 /// Enumerates the wrapper space for one of the built-in languages
@@ -166,14 +137,8 @@ where
     rank_space(space, site, labels, &model.with_mode(config.mode))
 }
 
-/// The NAIVE baseline of §7.2: run the inductor directly on all labels.
-#[deprecated(note = "build an `aw_core::Engine` (via `EngineBuilder`) and call `Engine::naive`")]
-pub fn naive_wrapper(site: &Site, language: WrapperLanguage, labels: &NodeSet) -> LearnedWrapper {
-    naive_impl(site, language, labels)
-}
-
-/// Shared implementation of the NAIVE baseline ([`Engine::naive`] and the
-/// deprecated [`naive_wrapper`] facade).
+/// The NAIVE baseline of §7.2, behind [`crate::Engine::naive`]: run the
+/// inductor directly on all labels.
 pub(crate) fn naive_impl(
     site: &Site,
     language: WrapperLanguage,
@@ -266,13 +231,28 @@ pub(crate) fn subsample(labels: &NodeSet, cap: usize) -> ItemSet<PageNode> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated facades must keep their exact pre-Engine behaviour;
-    // these tests exercise the pipeline *through* them (Engine-native
-    // coverage lives in `crate::engine::tests`).
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::engine::Engine;
     use aw_rank::{AnnotatorModel, ListFeatures, PublicationModel, RankingMode};
+
+    /// Runs the whole pipeline through the [`Engine`] and returns its
+    /// plain outcome.
+    fn learn(
+        site: &Site,
+        language: WrapperLanguage,
+        labels: &NodeSet,
+        model: &RankingModel,
+        config: &NtwConfig,
+    ) -> NtwOutcome {
+        Engine::builder(model.clone())
+            .language(language)
+            .config(config.clone())
+            .build()
+            .learn(site, labels)
+            .expect("nonempty labels")
+            .outcome()
+            .clone()
+    }
 
     /// Dealer-style site: 3 pages, names in <u>, plus footer noise.
     fn dealer_site() -> Site {
@@ -352,7 +332,11 @@ mod tests {
     fn naive_overgeneralizes_on_same_input() {
         let site = dealer_site();
         let labels = noisy_labels(&site);
-        let naive = naive_wrapper(&site, WrapperLanguage::XPath, &labels);
+        let naive = Engine::builder(model())
+            .language(WrapperLanguage::XPath)
+            .build()
+            .naive(&site, &labels)
+            .unwrap();
         // NAIVE must cover all labels (fidelity) and therefore spill past
         // the gold set.
         assert!(labels.is_subset(&naive.extraction));
@@ -449,19 +433,5 @@ mod tests {
         let out = learn(&site, WrapperLanguage::XPath, &labels, &model(), &cfg);
         // Still finds the gold wrapper from 3 seeds.
         assert_eq!(out.best().unwrap().extraction, gold(&site));
-    }
-
-    #[test]
-    fn empty_labels_give_empty_outcome() {
-        let site = dealer_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &NodeSet::new(),
-            &model(),
-            &NtwConfig::default(),
-        );
-        assert!(out.best().is_none());
-        assert_eq!(out.inductor_calls, 0);
     }
 }

@@ -74,8 +74,8 @@
 //! # Ok::<(), AwError>(())
 //! ```
 //!
-//! The pre-Engine free functions ([`learn`], [`naive_wrapper`]) survive
-//! as deprecated facades; the generic [`learn_with_feature_based`] /
+//! The [`Engine`] is the one learn entry point for the four built-in
+//! languages; the generic [`learn_with_feature_based`] /
 //! [`learn_with_blackbox`] remain for custom inductors.
 
 pub mod artifact;
@@ -101,8 +101,6 @@ pub use engine::{Annotator, Engine, EngineBuilder, RankedWrapper, RankedWrappers
 pub use error::AwError;
 pub use health::{HealthEvent, HealthThresholds, HealthTracker, PageObservation, SiteHealth};
 pub use latency::{LatencyHistogram, LatencySnapshot};
-#[allow(deprecated)]
-pub use learner::{learn, naive_wrapper};
 pub use learner::{learn_with_blackbox, learn_with_feature_based, LearnedWrapper, NtwOutcome};
 pub use multi_type::{
     assemble_records, learn_multi_type, MultiTypeModel, MultiTypeOutcome, MultiTypeWrapper, Record,

@@ -123,12 +123,6 @@ impl LearnedRule {
             .filter_map(|id| doc.text(id).map(str::to_string))
             .collect()
     }
-
-    /// The rule's display form (parsable back for xpath rules).
-    #[deprecated(note = "use the `Display` impl (`to_string` / `{}`) instead")]
-    pub fn display(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl std::fmt::Display for LearnedRule {
@@ -317,12 +311,8 @@ impl NtwOutcome {
 
 #[cfg(test)]
 mod tests {
-    // Exercises the deprecated `learn` facade on purpose (it must stay
-    // behaviourally identical to the Engine it delegates to).
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::{learn, NtwConfig};
+    use crate::Engine;
     use aw_rank::{AnnotatorModel, ListFeatures, PublicationModel, RankingModel};
 
     fn training_site() -> Site {
@@ -365,13 +355,12 @@ mod tests {
     #[test]
     fn xpath_rule_applies_to_unseen_page() {
         let site = training_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &labels(&site),
-            &model(),
-            &NtwConfig::default(),
-        );
+        let ranked = Engine::builder(model())
+            .language(WrapperLanguage::XPath)
+            .build()
+            .learn(&site, &labels(&site))
+            .unwrap();
+        let out = ranked.outcome();
         let rule = out.best_rule(&site, WrapperLanguage::XPath).unwrap();
 
         // A freshly "crawled" page from the same script.
@@ -389,13 +378,12 @@ mod tests {
     #[test]
     fn lr_rule_applies_to_unseen_page() {
         let site = training_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::Lr,
-            &labels(&site),
-            &model(),
-            &NtwConfig::default(),
-        );
+        let ranked = Engine::builder(model())
+            .language(WrapperLanguage::Lr)
+            .build()
+            .learn(&site, &labels(&site))
+            .unwrap();
+        let out = ranked.outcome();
         let rule = out.best_rule(&site, WrapperLanguage::Lr).unwrap();
         let new_page = aw_dom::parse(
             "<table class='stores'><tr><td><b>OMEGA GROUP</b></td><td>9 Elm</td></tr></table>",
@@ -429,13 +417,12 @@ mod tests {
         // Applying the portable rule back to the training pages must
         // reproduce the wrapper's own extraction.
         let site = training_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &labels(&site),
-            &model(),
-            &NtwConfig::default(),
-        );
+        let ranked = Engine::builder(model())
+            .language(WrapperLanguage::XPath)
+            .build()
+            .learn(&site, &labels(&site))
+            .unwrap();
+        let out = ranked.outcome();
         let best = out.best().unwrap();
         let rule = out.best_rule(&site, WrapperLanguage::XPath).unwrap();
         let mut replayed = NodeSet::new();
@@ -453,13 +440,12 @@ mod tests {
     fn rule_set_batches_xpaths_and_matches_individual_apply() {
         let site = training_site();
         let seed = labels(&site);
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &seed,
-            &model(),
-            &NtwConfig::default(),
-        );
+        let ranked = Engine::builder(model())
+            .language(WrapperLanguage::XPath)
+            .build()
+            .learn(&site, &seed)
+            .unwrap();
+        let out = ranked.outcome();
         let set = out.rule_set(&site, WrapperLanguage::XPath);
         assert_eq!(set.rules().len(), out.ranked.len());
         let new_page = aw_dom::parse(

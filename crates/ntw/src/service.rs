@@ -675,8 +675,8 @@ impl WrapperRegistry {
 ///
 /// `stream` counts pages that went through the one-pass
 /// [`aw_dom::parse_indexed`] path; `fallback` counts pages parsed by the
-/// classic parse-then-index oracle (`AW_STREAM_PARSE=0` or
-/// [`ExtractionService::with_stream_parse`]`(false)`). The two paths are
+/// classic parse-then-index oracle
+/// ([`ExtractionService::with_stream_parse`]`(false)`). The two paths are
 /// byte-identical in output, so the split is purely observability.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ParseStats {
@@ -790,11 +790,10 @@ pub struct ExtractionService {
 impl ExtractionService {
     /// A service over `registry`, evaluating on [`Executor::global`],
     /// with health tracking on at default thresholds. Request pages go
-    /// through the one-pass streaming parser unless the process was
-    /// started with `AW_STREAM_PARSE=0` (the differential-oracle
-    /// escape hatch, like `reference` vs compiled xpath engines).
+    /// through the one-pass streaming parser
+    /// ([`ExtractionService::with_stream_parse`] selects the classic
+    /// oracle instead).
     pub fn new(registry: Arc<WrapperRegistry>) -> ExtractionService {
-        let stream_parse = std::env::var("AW_STREAM_PARSE").map_or(true, |v| v != "0");
         ExtractionService {
             registry,
             executor: Executor::global().clone(),
@@ -802,7 +801,7 @@ impl ExtractionService {
             health_enabled: true,
             relearn: None,
             latency: LatencyHistogram::new(),
-            stream_parse,
+            stream_parse: true,
             parse_counters: ParseCounters::default(),
         }
     }
@@ -839,9 +838,8 @@ impl ExtractionService {
     /// Selects the request-path parser: `true` (default) streams pages
     /// through [`aw_dom::parse_indexed`]; `false` falls back to the
     /// classic parse-then-index path. Responses are byte-identical
-    /// either way — the toggle exists for differential testing and as
-    /// an operational escape hatch (`AW_STREAM_PARSE=0` sets the
-    /// default at construction).
+    /// either way — the toggle exists for differential testing and
+    /// benchmarking, like `reference` vs compiled xpath engines.
     pub fn with_stream_parse(mut self, enabled: bool) -> ExtractionService {
         self.stream_parse = enabled;
         self
@@ -916,12 +914,11 @@ impl ExtractionService {
             .ok_or_else(|| AwError::UnknownSite(request.site.clone()))?;
         // One parse + one DocIndex per page; page-parallel for multi-page
         // requests (nested maps join the shared worker team). The default
-        // path is the one-pass streaming indexer; `AW_STREAM_PARSE=0` /
-        // `with_stream_parse(false)` fall back to the byte-identical
-        // parse-then-index oracle. Parsing is infallible by design, but a
-        // serving loop must not let one hostile page take down a whole
-        // batch — so each page is unwind-guarded and gated on producing
-        // at least one node.
+        // path is the one-pass streaming indexer; `with_stream_parse(false)`
+        // falls back to the byte-identical parse-then-index oracle.
+        // Parsing is infallible by design, but a serving loop must not
+        // let one hostile page take down a whole batch — so each page is
+        // unwind-guarded and gated on producing at least one node.
         let stream = self.stream_parse;
         let parsed: Vec<Result<Document, String>> = self.executor.map(&request.pages, |html| {
             let started = Instant::now();

@@ -37,34 +37,29 @@
 //!
 //! ## Threading model
 //!
-//! [`Server::start`] runs one of two engines over the same protocol
-//! code:
+//! [`Server::start`] runs one engine, **`aw-reactor`**: a single
+//! event-loop thread multiplexes every connection over `poll(2)` with
+//! HTTP/1.1 keep-alive and pipelining, per-connection read/idle
+//! deadlines, and bounded accept/inflight queues (overload answers
+//! `503` + `Retry-After`, while `GET /healthz` keeps answering). Parsed
+//! requests are handed to a small team of service workers and
+//! completions come back through a wake pipe. See the `reactor` module
+//! docs for the full state machine. The crate is unix-only: `poll(2)`
+//! and the wake pipe have no other backend.
 //!
-//! * **`aw-reactor`** (the default on unix): a single event-loop
-//!   thread multiplexes every connection over `poll(2)` with HTTP/1.1
-//!   keep-alive and pipelining, per-connection read/idle deadlines,
-//!   and bounded accept/inflight queues (overload answers `503` +
-//!   `Retry-After`, while `GET /healthz` keeps answering). Parsed
-//!   requests are handed to a small team of service workers and
-//!   completions come back through a wake pipe. See the `reactor`
-//!   module docs for the full state machine.
-//! * **The blocking loop** (`Server::blocking`, and the only engine
-//!   off unix): a fixed team of connection workers, each running its
-//!   own accept loop on a shared listener, one connection per worker
-//!   from accept to close.
-//!
-//! Both engines share one framing layer (`proto`), so their wire bytes
-//! are identical — asserted by a socket-level differential test. The
-//! extraction work inside a request is *not* done on private pools:
-//! both engines call into one shared [`ExtractionService`], whose
-//! [`aw_pool::Executor`] is the process-wide work-stealing team —
-//! page-parallel evaluation from many simultaneous connections
-//! interleaves in one pool instead of oversubscribing the machine. The
-//! per-site template caches live in the registry's wrappers, so
-//! structurally identical pages arriving on different connections still
-//! replay each other's traces. Each engine records per-request wall
-//! time into the service's [`aw_core::LatencyHistogram`], surfaced as
-//! the `latency` object of `GET /wrappers`.
+//! Framing lives in one socket-free layer (`proto`); a socket-level
+//! differential test holds the reactor's wire bytes equal to what that
+//! layer and [`respond`] compute in-process. The extraction work inside
+//! a request is *not* done on private pools: the service workers call
+//! into one shared [`ExtractionService`], whose [`aw_pool::Executor`]
+//! is the process-wide work-stealing team — page-parallel evaluation
+//! from many simultaneous connections interleaves in one pool instead
+//! of oversubscribing the machine. The per-site template caches live in
+//! the registry's wrappers, so structurally identical pages arriving on
+//! different connections still replay each other's traces. Every
+//! request's wall time goes into the service's
+//! [`aw_core::LatencyHistogram`], surfaced as the `latency` object of
+//! `GET /wrappers`.
 //!
 //! ```no_run
 //! use aw_core::{ArtifactReader, ExtractionService, WrapperRegistry};
@@ -82,10 +77,15 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#[cfg(not(unix))]
+compile_error!("aw-serve is unix-only: the reactor needs poll(2) and a UnixStream wake pipe");
+
 mod http;
 mod proto;
-#[cfg(unix)]
 mod reactor;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod test_support;
 
 pub use http::{Server, ServerHandle};
 

@@ -1,18 +1,18 @@
-//! Shared HTTP/1.1 framing: one parser and one encoder for both the
-//! event-driven reactor and the legacy blocking loop.
+//! HTTP/1.1 framing, pure of any socket: one head parser and one
+//! response encoder.
 //!
-//! Both socket layers route through [`parse_head`] and
-//! [`encode_response`], so their wire behavior (error strings, header
-//! order, reason phrases) is byte-identical by construction — the
-//! property the reactor-vs-blocking differential test then asserts over
-//! real sockets.
+//! The reactor frames every request through [`parse_head`] and every
+//! reply through [`encode_response`], so its wire behavior (error
+//! strings, header order, reason phrases) is fixed here. The reactor's
+//! differential test replays requests over real sockets and compares
+//! each reply with the bytes these functions compute in-process.
 
 use crate::Response;
 
 /// Largest accepted header block (request line + headers).
 pub(crate) const MAX_HEAD: usize = 64 * 1024;
 /// Largest accepted body (a bundle or a batch of pages).
-pub(crate) const MAX_BODY: usize = 64 * 1024 * 1024;
+const MAX_BODY: usize = 64 * 1024 * 1024;
 
 /// Everything the socket layer needs from a parsed header block.
 #[derive(Clone, Debug)]
@@ -55,7 +55,7 @@ fn find_head_end(buf: &[u8], search_from: usize) -> Option<usize> {
 }
 
 /// Parses one request head from the front of `buf`. Pure: no I/O, no
-/// state — both socket layers loop it over their read buffers.
+/// state — the reactor loops it over each connection's read buffer.
 pub(crate) fn parse_head(buf: &[u8], search_from: usize) -> HeadParse {
     let Some(head_end) = find_head_end(buf, search_from) else {
         if buf.len() > MAX_HEAD {
@@ -150,8 +150,8 @@ fn reason(status: u16) -> &'static str {
 /// Appends a routed [`Response`]'s wire bytes to `out` (the
 /// connection's write buffer, so the body is copied once).
 /// `retry_after_secs` adds the overload hint header (the backpressure
-/// 503); both loops emit identical bytes for identical
-/// `(response, keep_alive)` inputs.
+/// 503). Identical `(response, keep_alive, retry_after_secs)` inputs
+/// give identical bytes.
 pub(crate) fn encode_response(
     response: &Response,
     keep_alive: bool,

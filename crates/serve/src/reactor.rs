@@ -247,7 +247,7 @@ struct Conn {
     out_pos: usize,
     close_after_flush: bool,
     /// Write side shut, discarding the client's tail so the error
-    /// response survives (mirrors the blocking loop's drain).
+    /// response survives instead of being clobbered by a TCP reset.
     draining: bool,
     drain_deadline: Instant,
     peer_closed: bool,
@@ -305,7 +305,7 @@ impl Conn {
 // The reactor proper.
 
 /// Spawns the reactor thread and its service workers for a configured
-/// [`crate::Server`] (called by `Server::start` in non-blocking mode).
+/// [`crate::Server`] (the whole of `Server::start`).
 pub(crate) fn start(server: crate::Server) -> std::io::Result<crate::ServerHandle> {
     let crate::Server {
         listener,
@@ -315,7 +315,6 @@ pub(crate) fn start(server: crate::Server) -> std::io::Result<crate::ServerHandl
         queue_depth,
         idle_timeout,
         read_deadline,
-        ..
     } = server;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -381,7 +380,7 @@ pub(crate) fn start(server: crate::Server) -> std::io::Result<crate::ServerHandl
         addr,
         stop,
         threads,
-        dispatch: Some(dispatch),
+        dispatch,
     })
 }
 
@@ -755,8 +754,7 @@ impl Reactor {
     }
 
     /// The peer's write side closed. Mid-request that is a framing
-    /// error (mirroring the blocking loop's messages); idle it is just
-    /// a closed connection.
+    /// error answered `400`; idle it is just a closed connection.
     fn peer_closed(&mut self, slot: usize) {
         let Some(conn) = self.conn(slot) else { return };
         if conn.draining {
@@ -817,9 +815,8 @@ impl Reactor {
                 conn.closed = true;
                 return;
             }
-            // Mirror the blocking loop: end our side, then discard the
-            // client's remaining upload so the error response is read,
-            // not clobbered by a reset.
+            // End our side, then discard the client's remaining upload
+            // so the error response is read, not clobbered by a reset.
             let _ = conn.stream.shutdown(Shutdown::Write);
             conn.draining = true;
             conn.drain_deadline = Instant::now() + DRAIN_TIMEOUT;
@@ -843,6 +840,156 @@ impl Reactor {
         } else {
             // Idle keep-alive connection: quiet close.
             conn.closed = true;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The reactor's byte-identity oracle. Every reply the reactor sends
+    //! over a real socket must equal, byte for byte, what the socket-free
+    //! layers compute in-process on an identically built service:
+    //! `parse_head` → `respond` → `encode_response`, with a framing error
+    //! becoming `Response::error`. The only tolerated divergence is the
+    //! wall-clock part of `GET /wrappers` (`latency`, `parse.micros`),
+    //! normalized through a JSON parse before comparison.
+
+    use super::*;
+    use crate::test_support::{framed, raw_roundtrip, service_in, wrapper_in, PAGE};
+    use crate::Server;
+    use aw_core::{WrapperBundle, WrapperLanguage};
+
+    /// The request sequence the differential test replays: every
+    /// endpoint, the error surfaces, and raw protocol violations. Order
+    /// matters — requests mutate health counters and the registry, and
+    /// the served and the in-process service must walk the same state
+    /// trajectory.
+    fn request_sequence() -> Vec<(&'static str, Vec<u8>)> {
+        let extract_one = format!(r#"{{"site":"dealers","html":"{PAGE}"}}"#);
+        let extract_many = format!(r#"{{"site":"dealers","pages":["{PAGE}","<p>none</p>",""]}}"#);
+        let swap_bundle = {
+            let mut bundle = WrapperBundle::new();
+            bundle.insert("swapped", wrapper_in(WrapperLanguage::XPath));
+            bundle.to_json()
+        };
+        vec![
+            ("healthz", framed("GET", "/healthz", "")),
+            ("extract one", framed("POST", "/extract", &extract_one)),
+            ("extract many", framed("POST", "/extract", &extract_many)),
+            ("site health", framed("GET", "/health/dealers", "")),
+            ("all health", framed("GET", "/health", "")),
+            ("wrappers", framed("GET", "/wrappers", "")),
+            (
+                "unknown site",
+                framed("POST", "/extract", r#"{"site":"zz","html":"x"}"#),
+            ),
+            ("unknown path", framed("GET", "/nope", "")),
+            ("bad method", framed("DELETE", "/extract", "")),
+            ("bad body", framed("POST", "/extract", "garbage")),
+            ("hot swap", framed("POST", "/wrappers", &swap_bundle)),
+            ("post-swap extract", framed("POST", "/extract", &extract_one)),
+            ("post-swap wrappers", framed("GET", "/wrappers", "")),
+            ("malformed line", b"BOGUS\r\n\r\n".to_vec()),
+            (
+                "chunked refused",
+                b"POST /extract HTTP/1.1\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+                    .to_vec(),
+            ),
+            (
+                "oversized declared body",
+                b"POST /wrappers HTTP/1.1\r\nContent-Length: 104857600\r\nConnection: close\r\n\r\nxxxx"
+                    .to_vec(),
+            ),
+        ]
+    }
+
+    /// The reply `raw` (one whole `Connection: close` request, or a
+    /// framing violation) must get, computed without a socket.
+    fn expected_reply(service: &ExtractionService, raw: &[u8]) -> Vec<u8> {
+        let response = match parse_head(raw, 0) {
+            HeadParse::Ready(head) => {
+                let body = raw[head.head_len..head.head_len + head.content_length].to_vec();
+                let request = Request {
+                    method: head.method,
+                    path: head.path,
+                    body,
+                };
+                respond(service, &request)
+            }
+            HeadParse::Error(status, message) => Response::error(status, message),
+            HeadParse::Incomplete { .. } => panic!("sequence requests are complete"),
+        };
+        let mut bytes = Vec::new();
+        encode_response(&response, false, None, &mut bytes);
+        bytes
+    }
+
+    /// Strips the timing-dependent `latency` object (and the wall-clock
+    /// `parse.micros` counter) out of a `/wrappers` reply so the
+    /// remaining bytes admit exact comparison.
+    fn normalize_wrappers(reply: &[u8]) -> String {
+        let text = String::from_utf8(reply.to_vec()).expect("wrappers reply is UTF-8");
+        let (head, body) = text.split_once("\r\n\r\n").expect("framed reply");
+        let mut v = serde_json::from_str(body).expect("wrappers body is JSON");
+        if let serde::Value::Object(entries) = &mut v {
+            let position = entries
+                .iter()
+                .position(|(key, _)| key == "latency")
+                .unwrap_or_else(|| panic!("wrappers reply lost its latency object: {body}"));
+            entries.remove(position);
+            let parse = entries
+                .iter_mut()
+                .find(|(key, _)| key == "parse")
+                .unwrap_or_else(|| panic!("wrappers reply lost its parse object: {body}"));
+            if let serde::Value::Object(fields) = &mut parse.1 {
+                let micros = fields
+                    .iter_mut()
+                    .find(|(key, _)| key == "micros")
+                    .unwrap_or_else(|| panic!("parse object lost its micros field: {body}"));
+                micros.1 = serde::Value::Number(0.0);
+            }
+        }
+        // The Content-Length header covers the unnormalized body; drop it.
+        let head: Vec<&str> = head
+            .split("\r\n")
+            .filter(|line| !line.to_ascii_lowercase().starts_with("content-length"))
+            .collect();
+        format!(
+            "{}\n{}",
+            head.join("\n"),
+            serde_json::to_string(&v).unwrap()
+        )
+    }
+
+    #[test]
+    fn reactor_is_byte_identical_to_the_in_process_framing_oracle() {
+        for language in WrapperLanguage::ALL {
+            for workers in [1usize, 3] {
+                let reactor = Server::bind(service_in(language), "127.0.0.1:0")
+                    .expect("bind reactor")
+                    .workers(workers)
+                    .start()
+                    .expect("start reactor");
+                let oracle = service_in(language);
+                for (label, request) in request_sequence() {
+                    let served = raw_roundtrip(&reactor.addr(), &request);
+                    let expected = expected_reply(&oracle, &request);
+                    if label.contains("wrappers") && request.starts_with(b"GET") {
+                        assert_eq!(
+                            normalize_wrappers(&served),
+                            normalize_wrappers(&expected),
+                            "{language:?}/{workers} workers: {label} diverged"
+                        );
+                    } else {
+                        assert_eq!(
+                            String::from_utf8_lossy(&served),
+                            String::from_utf8_lossy(&expected),
+                            "{language:?}/{workers} workers: {label} diverged"
+                        );
+                    }
+                }
+                reactor.shutdown();
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end test of the HTTP front end over real sockets: a raw
-//! `TcpStream` client (no HTTP library exists in this offline
-//! workspace, which is the point of the hand-rolled server) exercises
-//! every endpoint, concurrent connections, and graceful shutdown.
+//! `TcpStream` client (the workspace builds without an HTTP client
+//! library, which is also why the server is hand-rolled) drives the
+//! reactor through every endpoint, concurrent connections, and graceful
+//! shutdown.
 
 use aw_core::{
     CompiledWrapper, ExtractionService, LearnedRule, WrapperBundle, WrapperLanguage,
@@ -28,9 +29,8 @@ fn dealer_wrapper() -> CompiledWrapper {
 }
 
 /// Sends one request and returns `(status, body)`. Asks for
-/// `Connection: close` so reading to EOF frames the response under
-/// both engines (the reactor would otherwise hold the connection open
-/// for keep-alive).
+/// `Connection: close` so reading to EOF frames the response (the
+/// reactor would otherwise hold the connection open for keep-alive).
 fn roundtrip(addr: &std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let request = format!(

@@ -1,183 +1,18 @@
-//! Socket-level tests of the event-driven reactor (unix-only: the
-//! reactor needs `poll(2)`; other platforms serve with the blocking
-//! loop, covered by `http_server.rs`).
-//!
-//! The heart is the **differential test**: the reactor and the legacy
-//! blocking loop serve identical request sequences over real sockets
-//! and must produce byte-identical responses — for every endpoint,
-//! every wrapper language, and multiple worker counts. The only
-//! tolerated divergence is the `latency` object of `GET /wrappers`
-//! (wall-clock measurements), which is normalized through a JSON parse
-//! before comparison.
-#![cfg(unix)]
+//! Socket-level tests of the event-driven reactor: keep-alive and
+//! pipelining, deadlines, backpressure and hostile bodies over real
+//! sockets. The reactor's byte-identity differential test lives in the
+//! crate (`src/reactor.rs`), next to the framing code it compares
+//! against.
 
-use aw_core::{
-    CompiledWrapper, ExtractionService, LearnedRule, WrapperBundle, WrapperLanguage,
-    WrapperRegistry,
-};
-use aw_induct::{NodeSet, Site};
-use aw_pool::Executor;
+mod support;
+
+use aw_core::{ExtractionService, WrapperLanguage};
 use aw_serve::{Server, ServerHandle};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn wrapper_in(language: WrapperLanguage) -> CompiledWrapper {
-    let site = Site::from_html(&[
-        "<table class='stores'><tr><td><b>ALPHA CO</b></td><td>1 Elm</td></tr>\
-         <tr><td><b>BETA LLC</b></td><td>2 Oak</td></tr></table>",
-        "<table class='stores'><tr><td><b>GAMMA INC</b></td><td>3 Fir</td></tr>\
-         <tr><td><b>DELTA LTD</b></td><td>4 Ash</td></tr></table>",
-    ]);
-    let mut labels = NodeSet::new();
-    labels.extend(site.find_text("ALPHA CO"));
-    labels.extend(site.find_text("DELTA LTD"));
-    CompiledWrapper::from_rule(LearnedRule::learn(&site, language, &labels))
-}
-
-fn service_in(language: WrapperLanguage) -> Arc<ExtractionService> {
-    let registry = Arc::new(WrapperRegistry::new());
-    registry.insert("dealers", wrapper_in(language));
-    Arc::new(ExtractionService::new(registry).with_executor(Executor::new(2)))
-}
-
-/// Sends raw bytes on a fresh connection and reads the raw reply to
-/// EOF.
-fn raw_roundtrip(addr: &SocketAddr, request: &[u8]) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request).expect("send");
-    let mut reply = Vec::new();
-    stream.read_to_end(&mut reply).expect("receive");
-    reply
-}
-
-/// Frames one `Connection: close` request.
-fn framed(method: &str, path: &str, body: &str) -> Vec<u8> {
-    format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-const PAGE: &str =
-    "<table class='stores'><tr><td><b>OMEGA GROUP</b></td><td>9 Elm</td></tr></table>";
-
-/// The request sequence the differential test replays against both
-/// engines: every endpoint, the error surfaces, and raw protocol
-/// violations. Order matters — requests mutate health counters and the
-/// registry, and both servers must walk the same state trajectory.
-fn request_sequence() -> Vec<(&'static str, Vec<u8>)> {
-    let extract_one = format!(r#"{{"site":"dealers","html":"{PAGE}"}}"#);
-    let extract_many = format!(r#"{{"site":"dealers","pages":["{PAGE}","<p>none</p>",""]}}"#);
-    let swap_bundle = {
-        let mut bundle = WrapperBundle::new();
-        bundle.insert("swapped", wrapper_in(WrapperLanguage::XPath));
-        bundle.to_json()
-    };
-    vec![
-        ("healthz", framed("GET", "/healthz", "")),
-        ("extract one", framed("POST", "/extract", &extract_one)),
-        ("extract many", framed("POST", "/extract", &extract_many)),
-        ("site health", framed("GET", "/health/dealers", "")),
-        ("all health", framed("GET", "/health", "")),
-        ("wrappers", framed("GET", "/wrappers", "")),
-        ("unknown site", framed("POST", "/extract", r#"{"site":"zz","html":"x"}"#)),
-        ("unknown path", framed("GET", "/nope", "")),
-        ("bad method", framed("DELETE", "/extract", "")),
-        ("bad body", framed("POST", "/extract", "garbage")),
-        ("hot swap", framed("POST", "/wrappers", &swap_bundle)),
-        ("post-swap extract", framed("POST", "/extract", &extract_one)),
-        ("post-swap wrappers", framed("GET", "/wrappers", "")),
-        ("malformed line", b"BOGUS\r\n\r\n".to_vec()),
-        (
-            "chunked refused",
-            b"POST /extract HTTP/1.1\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-                .to_vec(),
-        ),
-        (
-            "oversized declared body",
-            b"POST /wrappers HTTP/1.1\r\nContent-Length: 104857600\r\nConnection: close\r\n\r\nxxxx"
-                .to_vec(),
-        ),
-    ]
-}
-
-/// Strips the timing-dependent `latency` object (and the wall-clock
-/// `parse.micros` counter) out of a `/wrappers` reply so the remaining
-/// bytes admit exact comparison.
-fn normalize_wrappers(reply: &[u8]) -> String {
-    let text = String::from_utf8(reply.to_vec()).expect("wrappers reply is UTF-8");
-    let (head, body) = text.split_once("\r\n\r\n").expect("framed reply");
-    let mut v = serde_json::from_str(body).expect("wrappers body is JSON");
-    if let serde::Value::Object(entries) = &mut v {
-        let position = entries
-            .iter()
-            .position(|(key, _)| key == "latency")
-            .unwrap_or_else(|| panic!("wrappers reply lost its latency object: {body}"));
-        entries.remove(position);
-        let parse = entries
-            .iter_mut()
-            .find(|(key, _)| key == "parse")
-            .unwrap_or_else(|| panic!("wrappers reply lost its parse object: {body}"));
-        if let serde::Value::Object(fields) = &mut parse.1 {
-            let micros = fields
-                .iter_mut()
-                .find(|(key, _)| key == "micros")
-                .unwrap_or_else(|| panic!("parse object lost its micros field: {body}"));
-            micros.1 = serde::Value::Number(0.0);
-        }
-    }
-    // The Content-Length header covers the unnormalized body; drop it.
-    let head: Vec<&str> = head
-        .split("\r\n")
-        .filter(|line| !line.to_ascii_lowercase().starts_with("content-length"))
-        .collect();
-    format!(
-        "{}\n{}",
-        head.join("\n"),
-        serde_json::to_string(&v).unwrap()
-    )
-}
-
-#[test]
-fn reactor_is_byte_identical_to_the_blocking_oracle() {
-    for language in WrapperLanguage::ALL {
-        for workers in [1usize, 3] {
-            let reactor = Server::bind(service_in(language), "127.0.0.1:0")
-                .expect("bind reactor")
-                .workers(workers)
-                .start()
-                .expect("start reactor");
-            let oracle = Server::bind(service_in(language), "127.0.0.1:0")
-                .expect("bind oracle")
-                .workers(workers)
-                .blocking(true)
-                .start()
-                .expect("start oracle");
-            for (label, request) in request_sequence() {
-                let from_reactor = raw_roundtrip(&reactor.addr(), &request);
-                let from_oracle = raw_roundtrip(&oracle.addr(), &request);
-                if label.contains("wrappers") && request.starts_with(b"GET") {
-                    assert_eq!(
-                        normalize_wrappers(&from_reactor),
-                        normalize_wrappers(&from_oracle),
-                        "{language:?}/{workers} workers: {label} diverged"
-                    );
-                } else {
-                    assert_eq!(
-                        String::from_utf8_lossy(&from_reactor),
-                        String::from_utf8_lossy(&from_oracle),
-                        "{language:?}/{workers} workers: {label} diverged"
-                    );
-                }
-            }
-            reactor.shutdown();
-            oracle.shutdown();
-        }
-    }
-}
+use support::{framed, raw_roundtrip, service_in, PAGE};
 
 fn start_reactor(service: Arc<ExtractionService>) -> ServerHandle {
     Server::bind(service, "127.0.0.1:0")

@@ -117,43 +117,6 @@ echo "smoke: streaming parse counters advanced"
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
-# ── AW_STREAM_PARSE=0 serves through the classic two-pass oracle ────
-AW_STREAM_PARSE=0 "$BIN" serve --bundle "$TMP/bundle.json" --addr 127.0.0.1:0 --threads 2 > "$TMP/serve-fallback.log" 2>&1 &
-SERVER_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE 'http://[0-9.]+:[0-9]+' "$TMP/serve-fallback.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "fallback server did not start:"; cat "$TMP/serve-fallback.log"; exit 1; }
-curl -sf -X POST "$ADDR/extract" --data @"$TMP/req.json" | grep -q '"OMEGA GROUP"'
-LISTING=$(curl -sf "$ADDR/wrappers")
-echo "$LISTING" | grep -q '"stream":0'
-echo "$LISTING" | grep -qE '"fallback":[1-9]'
-echo "smoke: AW_STREAM_PARSE=0 routed parsing through the fallback path"
-
-kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
-
-# ── The legacy blocking loop still serves (differential oracle) ─────
-"$BIN" serve --bundle "$TMP/bundle.json" --blocking --addr 127.0.0.1:0 --threads 2 > "$TMP/serve-blocking.log" 2>&1 &
-SERVER_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE 'http://[0-9.]+:[0-9]+' "$TMP/serve-blocking.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "blocking server did not start:"; cat "$TMP/serve-blocking.log"; exit 1; }
-grep -q 'blocking loop' "$TMP/serve-blocking.log"
-curl -sf "$ADDR/healthz" | grep -q '"status":"ok"'
-curl -sf -X POST "$ADDR/extract" --data @"$TMP/req.json" | grep -q '"OMEGA GROUP"'
-echo "smoke: --blocking loop serves at $ADDR"
-
-kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
-
 # ── Pack the v2 bundle into the v3 binary format and round-trip it ──
 "$BIN" bundle pack --in "$TMP/bundle.json" --out "$TMP/bundle.awb"
 "$BIN" bundle inspect --in "$TMP/bundle.awb" | tee "$TMP/inspect.log"

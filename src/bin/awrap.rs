@@ -34,18 +34,17 @@
 //!     count and per-segment sizes without loading any wrapper.
 //!
 //! awrap serve --bundle FILE [--lazy [--max-resident N]]
-//!             [--addr HOST:PORT] [--threads N] [--workers M] [--blocking]
+//!             [--addr HOST:PORT] [--threads N] [--workers M]
 //!             [--relearn --dict FILE [--lang L] [--window N] [--max-empty-rate F]]
 //!     Load a wrapper artifact of any generation into a hot-swappable
 //!     registry and serve extraction over HTTP (POST /extract,
 //!     GET/POST /wrappers, GET /healthz, GET /health,
-//!     GET /health/{site}). The default engine is the event-driven
-//!     reactor (keep-alive, pipelining, backpressure); `--blocking`
-//!     selects the legacy connection-per-worker loop instead. With
-//!     --lazy, FILE must be a v3 binary bundle: the registry starts
-//!     empty and faults wrappers in per site as requests name them,
-//!     keeping at most --max-resident resident (CLOCK eviction over
-//!     a slot table, so a fault costs the same at any cap). Wrappers
+//!     GET /health/{site}) through the event-driven reactor
+//!     (keep-alive, pipelining, backpressure). With --lazy, FILE must
+//!     be a v3 binary bundle: the registry starts empty and faults
+//!     wrappers in per site as requests name them, keeping at most
+//!     --max-resident resident (CLOCK eviction over a slot table, so
+//!     a fault costs the same at any cap). Wrappers
 //!     swapped in by --relearn are pinned: never evicted, never
 //!     reverted to the bundle's copy.
 //!     `--addr 127.0.0.1:0` picks an ephemeral port (printed on
@@ -118,9 +117,7 @@ const USAGE: &str =
   serve --bundle FILE                       serve extraction over HTTP
         [--lazy [--max-resident N]]         (--lazy: FILE is a v3 binary
         [--addr HOST:PORT] [--threads N]     bundle, wrappers fault in per
-        [--workers M] [--blocking]           site, CLOCK-evicted at the cap;
-                                             --blocking: legacy loop instead
-                                             of the keep-alive reactor)
+        [--workers M]                        site, CLOCK-evicted at the cap)
         [--relearn --dict FILE [--lang L] [--window N] [--max-empty-rate F]]
                                             (self-heal degraded sites by
                                             shadow relearning + hot swap)
@@ -526,25 +523,14 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("--workers: {e}"))?
         .unwrap_or(threads)
         .max(1);
-    // --blocking: the legacy connection-per-worker loop instead of the
-    // event-driven reactor — the differential oracle, and an escape
-    // hatch should a platform's poll(2) misbehave. (Non-unix builds
-    // always serve blocking.)
-    let blocking = has_flag(args, "--blocking") || cfg!(not(unix));
-
     let server = Server::bind(Arc::new(service), &addr)
         .map_err(|e| format!("bind {addr}: {e}"))?
-        .workers(workers)
-        .blocking(blocking);
+        .workers(workers);
     let local = server.local_addr().map_err(|e| e.to_string())?;
-    let mode = if blocking {
-        "blocking loop"
-    } else {
-        "event-driven reactor, keep-alive"
-    };
     println!("{banner}");
     println!(
-        "serving on http://{local} ({mode}; {workers} http worker(s), {threads} executor thread(s))"
+        "serving on http://{local} (event-driven reactor, keep-alive; \
+         {workers} http worker(s), {threads} executor thread(s))"
     );
     println!(
         "endpoints: POST /extract, GET /wrappers, POST /wrappers (hot swap), \

@@ -160,25 +160,20 @@ fn artifact_rejects_wrong_version_and_garbage() {
 }
 
 #[test]
-fn deprecated_facade_agrees_with_engine_everywhere() {
-    #![allow(deprecated)]
+fn engine_learns_and_runs_naive_in_every_language() {
     let site = training_site();
     let seed = labels(&site);
-    let m = model();
     for language in WrapperLanguage::ALL {
-        let engine = Engine::builder(m.clone()).language(language).build();
-        let via_engine = engine.learn(&site, &seed).unwrap();
-        let via_facade = aw_core::learn(&site, language, &seed, &m, &NtwConfig::default());
-        assert_eq!(via_facade.ranked.len(), via_engine.len(), "{language}");
-        for (a, b) in via_facade.ranked.iter().zip(via_engine.iter()) {
-            assert_eq!(a.extraction, b.extraction, "{language}");
-            assert_eq!(a.rule, b.rule, "{language}");
-        }
-        let naive_facade = aw_core::naive_wrapper(&site, language, &seed);
-        let naive_engine = engine.naive(&site, &seed).unwrap();
-        assert_eq!(
-            naive_facade.extraction, naive_engine.extraction,
-            "{language}"
+        let engine = Engine::builder(model()).language(language).build();
+        let ranked = engine.learn(&site, &seed).unwrap();
+        assert!(!ranked.is_empty(), "{language}");
+        assert_eq!(ranked.language(), language);
+        // NAIVE runs the inductor once on all labels, so it covers them.
+        let naive = engine.naive(&site, &seed).unwrap();
+        assert!(
+            seed.is_subset(&naive.extraction),
+            "{language}: {}",
+            naive.rule
         );
     }
 }
