@@ -90,6 +90,19 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
+
+    /// Times `iters` executions of `f` like [`Bencher::iter`], but keeps
+    /// every output alive and drops them after the clock stops, so an
+    /// output that is expensive to free does not count.
+    pub fn iter_with_large_drop<R, F: FnMut() -> R>(&mut self, mut f: F) {
+        let mut outputs = Vec::with_capacity(self.iters as usize);
+        let start = Instant::now();
+        for _ in 0..self.iters {
+            outputs.push(f());
+        }
+        self.elapsed = start.elapsed();
+        drop(outputs);
+    }
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {

@@ -5,6 +5,8 @@
 //! references are passed through verbatim, which is what lenient parsers
 //! like tidy do.
 
+use std::borrow::Cow;
+
 /// Named entities we decode. Deliberately small: extraction only needs
 /// text to be *stable*, not exhaustively standards-complete.
 const NAMED: &[(&str, &str)] = &[
@@ -42,7 +44,8 @@ fn lookup_named(name: &str) -> Option<&'static str> {
     NAMED.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
 }
 
-/// Decodes all character references in `input`.
+/// Decodes all character references in `input`, borrowing it unchanged
+/// when it holds no `&`.
 ///
 /// ```
 /// use aw_dom::entities::decode;
@@ -50,39 +53,34 @@ fn lookup_named(name: &str) -> Option<&'static str> {
 /// assert_eq!(decode("no entities"), "no entities");
 /// assert_eq!(decode("&bogus; stays"), "&bogus; stays");
 /// ```
-pub fn decode(input: &str) -> String {
+pub fn decode(input: &str) -> Cow<'_, str> {
     if !input.contains('&') {
-        return input.to_string();
+        return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len());
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            // Copy a full UTF-8 character.
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&input[i..i + ch_len]);
-            i += ch_len;
-            continue;
-        }
+    decode_into(input, &mut out);
+    Cow::Owned(out)
+}
+
+/// Appends `input` to `out` with every character reference decoded.
+pub fn decode_into(input: &str, out: &mut String) {
+    let mut rest = input;
+    while let Some(i) = rest.find('&') {
+        out.push_str(&rest[..i]);
+        rest = &rest[i..];
         // Find the reference body up to ';' within a reasonable window.
-        match decode_reference(&input[i..]) {
-            Some((decoded, consumed)) => {
-                out.push_str(&decoded);
-                i += consumed;
-            }
-            None => {
-                out.push('&');
-                i += 1;
-            }
-        }
+        let consumed = decode_reference(rest, out).unwrap_or_else(|| {
+            out.push('&');
+            1
+        });
+        rest = &rest[consumed..];
     }
-    out
+    out.push_str(rest);
 }
 
 /// Attempts to decode a single reference at the start of `s` (which begins
-/// with `&`). Returns the decoded text and the number of bytes consumed.
-fn decode_reference(s: &str) -> Option<(String, usize)> {
+/// with `&`), appending it to `out`. Returns the number of bytes consumed.
+fn decode_reference(s: &str, out: &mut String) -> Option<usize> {
     let rest = &s[1..];
     let semi = rest.find(';')?;
     if semi == 0 || semi > 10 {
@@ -96,34 +94,34 @@ fn decode_reference(s: &str) -> Option<(String, usize)> {
         } else {
             stripped.parse::<u32>().ok()?
         };
-        let ch = char::from_u32(code)?;
-        return Some((ch.to_string(), consumed));
+        out.push(char::from_u32(code)?);
+        return Some(consumed);
     }
-    lookup_named(body).map(|v| (v.to_string(), consumed))
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+    out.push_str(lookup_named(body)?);
+    Some(consumed)
 }
 
 /// Escapes `<`, `>`, `&` and `"` for serialization.
 pub fn escape(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
-    for c in input.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            other => out.push(other),
-        }
-    }
+    escape_into(input, &mut out);
     out
+}
+
+/// Appends `input` to `out`, escaped as by [`escape`].
+pub fn escape_into(input: &str, out: &mut String) {
+    let mut rest = input;
+    while let Some(i) = rest.find(['&', '<', '>', '"']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            _ => "&quot;",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 #[cfg(test)]

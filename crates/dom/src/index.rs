@@ -17,11 +17,12 @@
 //!   costs one array load instead of an O(siblings) rescan per candidate.
 
 use crate::arena::{Document, NodeId, NodeKind};
-use crate::interner::{intern, Sym};
+use crate::interner::Sym;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// One repeated record subtree inside a [`RecordLayout`], as a half-open
 /// pre-order rank span plus its position-independent skeleton hash.
@@ -246,150 +247,158 @@ impl Hasher for PolyHasher {
     }
 }
 
-/// Precomputed evaluation structures for one [`Document`].
+/// The evaluation tables of one [`Document`], built by
+/// [`IndexTables::build`] or by the streaming builder (`crate::stream`)
+/// and read through a [`DocIndex`].
 ///
-/// All rank-typed values index the document's **pre-order** traversal
-/// (for parser- or builder-built documents this coincides with arena
-/// order, but the index does not rely on that).
+/// Only what the document does not already hold lives here: tags,
+/// attributes and attribute-value ids are read from the document's own
+/// tables.
 #[derive(Clone, Debug, Default)]
-pub struct DocIndex {
-    // Fields are `pub(crate)` so the one-pass streaming builder
-    // (`crate::stream`) can fill the same tables event-by-event; every
-    // consumer outside this crate goes through the accessor methods.
-    /// NodeId index → pre-order rank.
+pub(crate) struct IndexTables {
+    /// NodeId index → pre-order rank. Empty when arena order *is*
+    /// pre-order (every parser-built document), where the map is the
+    /// identity.
     pub(crate) rank: Vec<u32>,
-    /// Pre-order rank → NodeId.
+    /// Pre-order rank → NodeId; empty exactly when `rank` is.
     pub(crate) by_rank: Vec<NodeId>,
     /// Rank → exclusive end of the node's subtree, in rank space.
     pub(crate) subtree_end: Vec<u32>,
-    /// NodeId index → interned tag (elements only).
-    pub(crate) tag: Vec<Option<Sym>>,
-    /// NodeId index → 1-based position among same-tag siblings (0 = n/a).
-    pub(crate) same_tag_pos: Vec<u32>,
-    /// NodeId index → 1-based position among element siblings (0 = n/a).
-    pub(crate) elem_pos: Vec<u32>,
-    /// NodeId index → 1-based position among text-node siblings (0 = n/a).
-    pub(crate) text_pos: Vec<u32>,
-    /// Tag symbol → ranks of elements with that tag, ascending.
-    pub(crate) tag_postings: HashMap<Sym, Vec<u32>>,
+    /// NodeId index → (1-based position among same-tag siblings,
+    /// 1-based position among siblings of the node's own kind — element
+    /// siblings for an element, text siblings for a text node); 0 = n/a.
+    pub(crate) pos: Vec<(u32, u32)>,
+    /// Tag postings in CSR form: `(tag, end)` sorted by tag, where that
+    /// tag's ranks are `tag_ranks[previous end..end]`, ascending.
+    pub(crate) tags: Vec<(Sym, u32)>,
+    pub(crate) tag_ranks: Vec<u32>,
     /// Ranks of all element nodes, ascending.
     pub(crate) elem_postings: Vec<u32>,
     /// Ranks of all text nodes, ascending.
     pub(crate) text_postings: Vec<u32>,
-    /// NodeId index → start offset into `attrs` (length `nodes + 1`).
-    pub(crate) attr_offsets: Vec<u32>,
-    /// Per-node attribute pairs: global name symbol + **per-document**
-    /// value id (see `attr_values`).
-    pub(crate) attrs: Vec<(Sym, u32)>,
-    /// Attribute value → dense per-document id. Values are unbounded
-    /// across a crawl (hrefs, ids), so they are deliberately *not* put in
-    /// the process-global interner — this table lives and dies with the
-    /// index. Keyed with [`PolyHasher`] — fast on short strings like
-    /// FNV, but secret-keyed so hostile request pages cannot craft
-    /// collision sets (see its docs for the bound).
-    pub(crate) attr_values: HashMap<String, u32, BuildHasherDefault<PolyHasher>>,
     /// Structural template fingerprint, computed on first use (see
     /// [`DocIndex::template_fingerprint`]) — consumers that never
     /// fingerprint (per-rule evaluation, cache-disabled batch engines)
     /// pay nothing for it.
-    pub(crate) fingerprint: std::sync::OnceLock<u64>,
+    pub(crate) fingerprint: OnceLock<u64>,
     /// Record-region detection result, computed on first use (see
     /// [`DocIndex::record_layout`]); `None` once computed means the page
     /// has no repeated-subtree run.
-    pub(crate) record_layout: std::sync::OnceLock<Option<RecordLayout>>,
-    /// True iff arena order equals pre-order rank order (see
-    /// [`DocIndex::ranks_monotone`]).
-    pub(crate) monotone: bool,
+    pub(crate) record_layout: OnceLock<Option<RecordLayout>>,
 }
 
-impl DocIndex {
-    /// Builds the index for `doc`. Cost: one pre-order pass plus one
-    /// sibling pass; every other query amortizes against this.
-    pub fn build(doc: &Document) -> DocIndex {
+impl IndexTables {
+    /// Builds the tables for `doc` by walking the finished tree: one
+    /// sibling pass, one explicit-stack pre-order pass and one pass over
+    /// the ranks. Independent of the streaming builder, whose
+    /// differential oracle it is.
+    pub(crate) fn build(doc: &Document) -> IndexTables {
         let n = doc.len();
-        let mut idx = DocIndex {
-            rank: vec![0; n],
-            by_rank: Vec::with_capacity(n),
+        let mut t = IndexTables {
             subtree_end: vec![0; n],
-            tag: vec![None; n],
-            same_tag_pos: vec![0; n],
-            elem_pos: vec![0; n],
-            text_pos: vec![0; n],
-            tag_postings: HashMap::new(),
-            elem_postings: Vec::new(),
-            text_postings: Vec::new(),
-            attr_offsets: Vec::with_capacity(n + 1),
-            attrs: Vec::new(),
-            attr_values: HashMap::default(),
-            fingerprint: std::sync::OnceLock::new(),
-            record_layout: std::sync::OnceLock::new(),
-            monotone: true,
+            pos: vec![(0, 0); n],
+            ..IndexTables::default()
         };
         if n == 0 {
-            idx.attr_offsets.push(0);
-            return idx;
+            return t;
         }
 
-        // Pass 1: interning, attribute table and sibling positions (which
-        // need arena order, not rank order, for the offset table).
-        for id in doc.ids() {
-            idx.attr_offsets.push(idx.attrs.len() as u32);
-            if let NodeKind::Element(el) = &doc.node(id).kind {
-                idx.tag[id.index()] = Some(intern(&el.tag));
-                for (name, value) in &el.attrs {
-                    let next_id = idx.attr_values.len() as u32;
-                    let vid = *idx.attr_values.entry(value.clone()).or_insert(next_id);
-                    idx.attrs.push((intern(name), vid));
-                }
-            }
-        }
-        idx.attr_offsets.push(idx.attrs.len() as u32);
-
+        // Sibling positions, per parent.
+        let mut by_tag: HashMap<Sym, u32> = HashMap::new();
         for id in doc.ids() {
             let children = doc.children(id);
             if children.is_empty() {
                 continue;
             }
-            let mut by_tag: HashMap<Sym, u32> = HashMap::new();
+            by_tag.clear();
             let (mut elems, mut texts) = (0u32, 0u32);
             for &c in children {
-                match &doc.node(c).kind {
-                    NodeKind::Element(_) => {
+                match doc.kind(c) {
+                    NodeKind::Element => {
                         elems += 1;
-                        idx.elem_pos[c.index()] = elems;
-                        let sym = idx.tag[c.index()].expect("element interned in pass 1");
+                        let sym = doc.tag_sym(c).expect("element has a tag");
                         let k = by_tag.entry(sym).or_insert(0);
                         *k += 1;
-                        idx.same_tag_pos[c.index()] = *k;
+                        t.pos[c.index()] = (*k, elems);
                     }
-                    NodeKind::Text(_) => {
+                    NodeKind::Text => {
                         texts += 1;
-                        idx.text_pos[c.index()] = texts;
+                        t.pos[c.index()] = (0, texts);
                     }
                     _ => {}
                 }
             }
         }
 
-        // Pass 2: pre-order ranks, subtree spans and posting lists, with
-        // an explicit stack (crawled markup can nest arbitrarily deep).
-        let mut stack: Vec<(NodeId, usize)> = vec![(doc.root(), 0)];
-        idx.visit(doc, doc.root());
+        // Pre-order ranks and subtree spans, with an explicit stack
+        // (crawled markup can nest arbitrarily deep).
+        let mut rank = vec![0u32; n];
+        let mut by_rank: Vec<NodeId> = Vec::with_capacity(n);
+        by_rank.push(NodeId::ROOT);
+        let mut stack: Vec<(NodeId, usize)> = vec![(NodeId::ROOT, 0)];
         while let Some(&mut (id, ref mut child)) = stack.last_mut() {
             let children = doc.children(id);
             if *child < children.len() {
                 let c = children[*child];
                 *child += 1;
-                idx.visit(doc, c);
+                rank[c.index()] = by_rank.len() as u32;
+                by_rank.push(c);
                 stack.push((c, 0));
             } else {
-                idx.subtree_end[idx.rank[id.index()] as usize] = idx.by_rank.len() as u32;
+                t.subtree_end[rank[id.index()] as usize] = by_rank.len() as u32;
                 stack.pop();
             }
         }
-        idx.monotone = idx.by_rank.windows(2).all(|w| w[0] < w[1]);
 
-        idx
+        // Posting lists in rank order; tag postings grouped by a stable
+        // sort, so each group stays rank-ascending.
+        let mut tagged: Vec<(Sym, u32)> = Vec::new();
+        for (r, &id) in by_rank.iter().enumerate() {
+            let r = r as u32;
+            match doc.kind(id) {
+                NodeKind::Element => {
+                    t.elem_postings.push(r);
+                    tagged.push((doc.tag_sym(id).expect("element has a tag"), r));
+                }
+                NodeKind::Text => t.text_postings.push(r),
+                _ => {}
+            }
+        }
+        tagged.sort_by_key(|&(sym, _)| sym);
+        for (i, &(sym, r)) in tagged.iter().enumerate() {
+            t.tag_ranks.push(r);
+            match t.tags.last_mut() {
+                Some((last, end)) if *last == sym => *end = i as u32 + 1,
+                _ => t.tags.push((sym, i as u32 + 1)),
+            }
+        }
+
+        // Keep the rank maps only where they are not the identity.
+        if by_rank.iter().enumerate().any(|(r, id)| id.index() != r) {
+            t.rank = rank;
+            t.by_rank = by_rank;
+        }
+        t
+    }
+}
+
+/// The evaluation index of one [`Document`]: the tables only the index
+/// holds (ranks, spans, postings, sibling positions, fingerprints), read
+/// together with the document's own tag and attribute tables.
+///
+/// All rank-typed values index the document's **pre-order** traversal
+/// (for parser-built documents this coincides with arena order, but the
+/// index does not rely on that). Obtained from [`Document::index`];
+/// `Copy`, two pointers wide.
+#[derive(Clone, Copy, Debug)]
+pub struct DocIndex<'a> {
+    doc: &'a Document,
+    t: &'a IndexTables,
+}
+
+impl<'a> DocIndex<'a> {
+    pub(crate) fn new(doc: &'a Document, t: &'a IndexTables) -> Self {
+        DocIndex { doc, t }
     }
 
     /// Computes the template fingerprint — a hash over the rank-ordered
@@ -397,19 +406,14 @@ impl DocIndex {
     /// tree *shape*; a flat preorder kind sequence alone cannot tell
     /// `a(b) c` from `a b(c)`). Text content and attribute values are
     /// deliberately excluded: pages rendered from one script differ
-    /// exactly there. Node kinds are reconstructed from the index's own
-    /// tables (tag = element, text posting = text, rank 0 = the
-    /// synthetic root, rest = comments), so no `Document` is needed.
+    /// exactly there.
     fn compute_fingerprint(&self) -> u64 {
-        let n = self.by_rank.len();
+        let n = self.doc.len();
         let mut h = DefaultHasher::new();
         (n as u64).hash(&mut h);
-        // `text_postings` ascends in rank, so one peeking cursor
-        // classifies text nodes as the rank loop advances.
-        let mut texts = self.text_postings.iter().peekable();
         for r in 0..n as u32 {
-            self.subtree_end[r as usize].hash(&mut h);
-            self.hash_node_kind(r, &mut texts, &mut h);
+            self.t.subtree_end[r as usize].hash(&mut h);
+            self.hash_node_kind(r, &mut h);
         }
         h.finish()
     }
@@ -417,30 +421,22 @@ impl DocIndex {
     /// Hashes one node's kind discriminant plus its tag and attribute
     /// *names* (values and text content excluded) — the per-node
     /// contribution shared by the whole-page, per-subtree and frame
-    /// fingerprints. `texts` must be a peeking cursor over
-    /// [`DocIndex::text_postings`] positioned at or after `r`.
-    fn hash_node_kind(
-        &self,
-        r: u32,
-        texts: &mut std::iter::Peekable<std::slice::Iter<'_, u32>>,
-        h: &mut DefaultHasher,
-    ) {
-        let id = self.by_rank[r as usize];
-        if let Some(sym) = self.tag[id.index()] {
-            1u8.hash(h);
-            sym.hash(h);
-            let attrs = self.attrs(id);
-            (attrs.len() as u32).hash(h);
-            for &(name, _) in attrs {
-                name.hash(h);
+    /// fingerprints.
+    fn hash_node_kind(&self, r: u32, h: &mut DefaultHasher) {
+        let id = self.node_at(r);
+        match self.doc.kind(id) {
+            NodeKind::Element => {
+                1u8.hash(h);
+                self.doc.tag_sym(id).expect("element has a tag").hash(h);
+                let attrs = self.doc.attr_pairs(id);
+                (attrs.len() as u32).hash(h);
+                for &(name, _) in attrs {
+                    name.hash(h);
+                }
             }
-        } else if texts.peek() == Some(&&r) {
-            texts.next();
-            2u8.hash(h);
-        } else if r == 0 {
-            0u8.hash(h); // the synthetic document root
-        } else {
-            3u8.hash(h); // comment
+            NodeKind::Text => 2u8.hash(h),
+            NodeKind::Document => 0u8.hash(h),
+            NodeKind::Comment => 3u8.hash(h),
         }
     }
 
@@ -454,7 +450,7 @@ impl DocIndex {
         &self,
         eligible_of: fn(&[Option<Sym>], &[bool]) -> Vec<bool>,
     ) -> Option<RecordLayout> {
-        let n = self.by_rank.len();
+        let n = self.doc.len();
         if n < 4 {
             return None;
         }
@@ -468,7 +464,7 @@ impl DocIndex {
         let mut open: Vec<(u32, DefaultHasher)> = Vec::new();
         let close = |open: &mut Vec<(u32, DefaultHasher)>, sub: &mut Vec<u64>, upto: u32| {
             while let Some((top, _)) = open.last() {
-                if self.subtree_end[*top as usize] > upto {
+                if self.t.subtree_end[*top as usize] > upto {
                     break;
                 }
                 let (t, h) = open.pop().expect("non-empty: just peeked");
@@ -479,11 +475,10 @@ impl DocIndex {
                 }
             }
         };
-        let mut texts = self.text_postings.iter().peekable();
         for r in 0..n as u32 {
             close(&mut open, &mut sub, r);
             let mut h = DefaultHasher::new();
-            self.hash_node_kind(r, &mut texts, &mut h);
+            self.hash_node_kind(r, &mut h);
             open.push((r, h));
         }
         close(&mut open, &mut sub, n as u32);
@@ -500,12 +495,12 @@ impl DocIndex {
         let mut kids: Vec<u32> = Vec::new();
         let mut kid_tags: Vec<Option<Sym>> = Vec::new();
         for p in 0..n as u32 {
-            let end = self.subtree_end[p as usize];
+            let end = self.t.subtree_end[p as usize];
             kids.clear();
             let mut c = p + 1;
             while c < end {
                 kids.push(c);
-                c = self.subtree_end[c as usize];
+                c = self.t.subtree_end[c as usize];
             }
             if kids.len() < 2 {
                 continue;
@@ -522,10 +517,7 @@ impl DocIndex {
                 .map(|&k| counts[&sub[k as usize]] >= 2)
                 .collect();
             kid_tags.clear();
-            kid_tags.extend(
-                kids.iter()
-                    .map(|&k| self.tag[self.by_rank[k as usize].index()]),
-            );
+            kid_tags.extend(kids.iter().map(|&k| self.doc.tag_sym(self.node_at(k))));
             let eligible = eligible_of(&kid_tags, &recurring);
             let mut i = 0;
             while i < kids.len() {
@@ -543,7 +535,7 @@ impl DocIndex {
                         .filter(|&k| recurring[k])
                         .map(|k| {
                             let kid = kids[k];
-                            u64::from(self.subtree_end[kid as usize] - kid)
+                            u64::from(self.t.subtree_end[kid as usize] - kid)
                         })
                         .sum();
                     if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
@@ -556,18 +548,18 @@ impl DocIndex {
         let (_, parent, range) = best?;
 
         // Rebuild the winning parent's child list and cut the run out.
-        let end = self.subtree_end[parent as usize];
+        let end = self.t.subtree_end[parent as usize];
         kids.clear();
         let mut c = parent + 1;
         while c < end {
             kids.push(c);
-            c = self.subtree_end[c as usize];
+            c = self.t.subtree_end[c as usize];
         }
         let records: Vec<RecordSpan> = kids[range]
             .iter()
             .map(|&k| RecordSpan {
                 start: k,
-                end: self.subtree_end[k as usize],
+                end: self.t.subtree_end[k as usize],
                 fingerprint: sub[k as usize],
             })
             .collect();
@@ -583,16 +575,11 @@ impl DocIndex {
         u64::from(n as u32 - run_len).hash(&mut h);
         parent.hash(&mut h);
         run_start.hash(&mut h);
-        let mut texts = self.text_postings.iter().peekable();
         for r in 0..n as u32 {
             if (run_start..run_end).contains(&r) {
-                // Keep the text cursor in step across the excised run.
-                if texts.peek() == Some(&&r) {
-                    texts.next();
-                }
                 continue;
             }
-            let e = self.subtree_end[r as usize];
+            let e = self.t.subtree_end[r as usize];
             // A frame node's span never ends strictly inside the run:
             // prefix siblings close at or before `run_start`, ancestors
             // of the run close at or after `run_end`.
@@ -602,7 +589,7 @@ impl DocIndex {
             );
             let collapsed = if e <= run_start { e } else { e - run_len };
             collapsed.hash(&mut h);
-            self.hash_node_kind(r, &mut texts, &mut h);
+            self.hash_node_kind(r, &mut h);
         }
 
         Some(RecordLayout {
@@ -614,87 +601,93 @@ impl DocIndex {
         })
     }
 
-    fn visit(&mut self, doc: &Document, id: NodeId) {
-        let r = self.by_rank.len() as u32;
-        self.rank[id.index()] = r;
-        self.by_rank.push(id);
-        match &doc.node(id).kind {
-            NodeKind::Element(_) => {
-                self.elem_postings.push(r);
-                let sym = self.tag[id.index()].expect("element interned in pass 1");
-                self.tag_postings.entry(sym).or_default().push(r);
-            }
-            NodeKind::Text(_) => self.text_postings.push(r),
-            _ => {}
-        }
-    }
-
     /// Pre-order rank of a node.
     #[inline]
     pub fn rank_of(&self, id: NodeId) -> u32 {
-        self.rank[id.index()]
+        if self.t.rank.is_empty() {
+            id.0
+        } else {
+            self.t.rank[id.index()]
+        }
     }
 
     /// The node at a pre-order rank.
     #[inline]
     pub fn node_at(&self, rank: u32) -> NodeId {
-        self.by_rank[rank as usize]
+        if self.t.by_rank.is_empty() {
+            NodeId(rank)
+        } else {
+            self.t.by_rank[rank as usize]
+        }
     }
 
     /// The subtree of the node at `rank`, as a half-open rank range
     /// (includes the node itself at `rank`).
     #[inline]
     pub fn subtree(&self, rank: u32) -> Range<u32> {
-        rank..self.subtree_end[rank as usize]
+        rank..self.t.subtree_end[rank as usize]
     }
 
     /// Interned tag of a node (`None` for non-elements).
     #[inline]
     pub fn tag_sym(&self, id: NodeId) -> Option<Sym> {
-        self.tag[id.index()]
+        self.doc.tag_sym(id)
     }
 
     /// Ranks of elements with the given tag, ascending.
-    pub fn tag_postings(&self, sym: Sym) -> &[u32] {
-        self.tag_postings.get(&sym).map_or(&[], Vec::as_slice)
+    pub fn tag_postings(&self, sym: Sym) -> &'a [u32] {
+        let tags = &self.t.tags;
+        match tags.binary_search_by_key(&sym, |&(s, _)| s) {
+            Ok(i) => {
+                let lo = if i == 0 { 0 } else { tags[i - 1].1 };
+                &self.t.tag_ranks[lo as usize..tags[i].1 as usize]
+            }
+            Err(_) => &[],
+        }
     }
 
     /// Ranks of all element nodes, ascending.
-    pub fn element_postings(&self) -> &[u32] {
-        &self.elem_postings
+    pub fn element_postings(&self) -> &'a [u32] {
+        &self.t.elem_postings
     }
 
     /// Ranks of all text nodes, ascending.
-    pub fn text_postings(&self) -> &[u32] {
-        &self.text_postings
+    pub fn text_postings(&self) -> &'a [u32] {
+        &self.t.text_postings
     }
 
     /// 1-based position among same-tag siblings (0 for non-elements and
     /// the root). Equals [`Document::same_tag_index`] where both exist.
     #[inline]
     pub fn same_tag_pos(&self, id: NodeId) -> u32 {
-        self.same_tag_pos[id.index()]
+        self.t.pos[id.index()].0
     }
 
     /// 1-based position among element siblings (0 = n/a).
     #[inline]
     pub fn elem_pos(&self, id: NodeId) -> u32 {
-        self.elem_pos[id.index()]
+        if self.doc.is_element(id) {
+            self.t.pos[id.index()].1
+        } else {
+            0
+        }
     }
 
     /// 1-based position among text-node siblings (0 = n/a).
     #[inline]
     pub fn text_pos(&self, id: NodeId) -> u32 {
-        self.text_pos[id.index()]
+        if self.doc.is_text(id) {
+            self.t.pos[id.index()].1
+        } else {
+            0
+        }
     }
 
     /// Attributes of a node, in document order, as `(global name symbol,
     /// per-document value id)` pairs.
     #[inline]
-    pub fn attrs(&self, id: NodeId) -> &[(Sym, u32)] {
-        let lo = self.attr_offsets[id.index()] as usize;
-        let hi = self.attr_offsets[id.index() + 1] as usize;
-        &self.attrs[lo..hi]
+    pub fn attrs(&self, id: NodeId) -> &'a [(Sym, u32)] {
+        self.doc.attr_pairs(id)
     }
 
     /// The per-document id of an attribute value, if any attribute in
@@ -702,13 +695,13 @@ impl DocIndex {
     /// test nodes with [`DocIndex::has_attr`] — integer compares only.
     /// `None` means no node of this document can match the value.
     pub fn attr_value_id(&self, value: &str) -> Option<u32> {
-        self.attr_values.get(value).copied()
+        self.doc.value_id(value)
     }
 
     /// True if the node carries attribute `name` with exactly the value
     /// behind `value_id` (from [`DocIndex::attr_value_id`]). Integer
     /// compares only — the symbol-table route for attribute predicates
-    /// (`Element::attr` remains the string API).
+    /// ([`Document::attr`] remains the string API).
     #[inline]
     pub fn has_attr(&self, id: NodeId, name: Sym, value_id: u32) -> bool {
         self.attrs(id)
@@ -739,7 +732,10 @@ impl DocIndex {
     /// themselves. Only valid for comparisons within one process (tag
     /// symbols are interner-assigned).
     pub fn template_fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+        *self
+            .t
+            .fingerprint
+            .get_or_init(|| self.compute_fingerprint())
     }
 
     /// The page's **record layout**, if it has one: the contiguous run
@@ -768,8 +764,9 @@ impl DocIndex {
     /// replay a page frame and stitch record traces per matching record
     /// (`aw_xpath::TemplateCache`). Like the whole-page fingerprint,
     /// equality is probabilistic (unkeyed 64-bit hashes).
-    pub fn record_layout(&self) -> Option<&RecordLayout> {
-        self.record_layout
+    pub fn record_layout(&self) -> Option<&'a RecordLayout> {
+        self.t
+            .record_layout
             .get_or_init(|| self.compute_record_layout(run_eligible))
             .as_ref()
     }
@@ -777,7 +774,7 @@ impl DocIndex {
     /// Whether [`DocIndex::record_layout`] has been computed for this
     /// index yet (whatever it found). Never computes it.
     pub fn record_layout_computed(&self) -> bool {
-        self.record_layout.get().is_some()
+        self.t.record_layout.get().is_some()
     }
 
     /// True iff arena order equals pre-order rank order — i.e.
@@ -792,17 +789,20 @@ impl DocIndex {
     /// `NodeId` list.
     #[inline]
     pub fn ranks_monotone(&self) -> bool {
-        self.monotone
+        self.t.by_rank.is_empty()
     }
 }
 
 impl Document {
     /// The document's evaluation index, built on first use.
     ///
-    /// The cache is invalidated by [`Document::append`] and friends;
-    /// cloning a document clones any already-built index.
-    pub fn index(&self) -> &DocIndex {
-        self.index_cache().get_or_init(|| DocIndex::build(self))
+    /// The cache is invalidated by [`Document::append_element`] and
+    /// friends; cloning a document clones any already-built index.
+    pub fn index(&self) -> DocIndex<'_> {
+        DocIndex::new(
+            self,
+            self.index_cache().get_or_init(|| IndexTables::build(self)),
+        )
     }
 }
 
@@ -811,6 +811,7 @@ mod tests {
     use super::*;
     use crate::interner::intern;
     use crate::parser::parse;
+    use std::hash::BuildHasherDefault;
 
     #[test]
     fn poly_mul_mod_matches_wide_arithmetic() {
@@ -1330,6 +1331,76 @@ mod tests {
         assert_eq!(doc.tag(idx.node_at(layout.records[0].start)), Some("tr"));
     }
 
+    /// Rebuilds `src` through the public builder methods, appending
+    /// nodes in pre-order (`breadth_first = false`) or breadth-first, so
+    /// that arena order is not pre-order.
+    fn rebuild(src: &Document, breadth_first: bool) -> Document {
+        let mut d = Document::new();
+        // `(source node, parent in the copy)`, next to append in front.
+        let mut pending: std::collections::VecDeque<(NodeId, NodeId)> = src
+            .children(NodeId::ROOT)
+            .iter()
+            .map(|&c| (c, NodeId::ROOT))
+            .collect();
+        while let Some((id, parent)) = pending.pop_front() {
+            let built = match src.kind(id) {
+                NodeKind::Element => {
+                    let attrs = src
+                        .attributes(id)
+                        .map(|(n, v)| (n.to_string(), v.to_string()))
+                        .collect();
+                    d.append_element(parent, src.tag(id).unwrap(), attrs)
+                }
+                NodeKind::Text => d.append_text(parent, src.text(id).unwrap()),
+                NodeKind::Comment => d.append_comment(parent, src.comment(id).unwrap()),
+                NodeKind::Document => unreachable!("the root is never a child"),
+            };
+            let children = src.children(id).iter().map(|&c| (c, built));
+            if breadth_first {
+                pending.extend(children);
+            } else {
+                for child in children.rev() {
+                    pending.push_front(child);
+                }
+            }
+        }
+        d
+    }
+
+    /// Asserts two documents of one tree hold equal index tables, node
+    /// for node in rank space. Value ids are compared only when both
+    /// documents appended their attributes in document order.
+    fn assert_same_tables(a: &Document, b: &Document, value_ids: bool) {
+        let (ai, bi) = (a.index(), b.index());
+        assert_eq!(a.len(), b.len());
+        assert_eq!(ai.element_postings(), bi.element_postings());
+        assert_eq!(ai.text_postings(), bi.text_postings());
+        for r in 0..a.len() as u32 {
+            let (x, y) = (ai.node_at(r), bi.node_at(r));
+            assert_eq!(ai.rank_of(x), r);
+            assert_eq!(ai.subtree(r), bi.subtree(r), "span at rank {r}");
+            assert_eq!(a.kind(x), b.kind(y));
+            assert_eq!(a.text(x), b.text(y));
+            assert_eq!(ai.tag_sym(x), bi.tag_sym(y));
+            assert_eq!(ai.same_tag_pos(x), bi.same_tag_pos(y));
+            assert_eq!(ai.elem_pos(x), bi.elem_pos(y));
+            assert_eq!(ai.text_pos(x), bi.text_pos(y));
+            assert!(a.attributes(x).eq(b.attributes(y)));
+            if value_ids {
+                assert_eq!(ai.attrs(x), bi.attrs(y));
+            }
+            for (&(name, _), (_, value)) in ai.attrs(x).iter().zip(a.attributes(x)) {
+                let vid = ai.attr_value_id(value).expect("value indexed");
+                assert!(ai.has_attr(x, name, vid));
+            }
+            if let Some(sym) = ai.tag_sym(x) {
+                assert_eq!(ai.tag_postings(sym), bi.tag_postings(sym));
+            }
+        }
+        assert_eq!(ai.template_fingerprint(), bi.template_fingerprint());
+        assert_eq!(ai.record_layout(), bi.record_layout());
+    }
+
     #[test]
     fn fingerprint_matches_across_builder_and_parser_construction() {
         // Same tree, different arena orders (builder interleaves appends):
@@ -1342,6 +1413,44 @@ mod tests {
         assert_eq!(
             d.index().template_fingerprint(),
             fp("<a><b></b></a><c></c>")
+        );
+
+        // Every page of the dealers, disc and products generators (and a
+        // template evolution), rebuilt by hand in document order and
+        // breadth-first: each round-trips through `serialize` →
+        // `parse_indexed` to the same tables, fingerprint and record
+        // layout, and the breadth-first arenas keep correct ranks and
+        // spans although arena order is not pre-order.
+        let pages = sitegen_corpus();
+        let mut interleaved = 0;
+        for html in &pages {
+            let parsed = parse(html);
+            for breadth_first in [false, true] {
+                let built = rebuild(&parsed, breadth_first);
+                let html = crate::serialize(&built);
+                assert_eq!(html, crate::serialize(&parsed));
+                let streamed = crate::parse_indexed(&html);
+                assert_same_tables(&built, &streamed, !breadth_first);
+                assert_eq!(
+                    built.index().ranks_monotone(),
+                    !breadth_first || {
+                        (0..built.len() as u32).all(|r| built.index().node_at(r) == NodeId(r))
+                    }
+                );
+                if !built.index().ranks_monotone() {
+                    interleaved += 1;
+                    let walk: Vec<NodeId> = built.preorder_all().collect();
+                    let ranks: Vec<NodeId> = (0..built.len() as u32)
+                        .map(|r| built.index().node_at(r))
+                        .collect();
+                    assert_eq!(walk, ranks, "ranks must follow the tree, not the arena");
+                }
+            }
+        }
+        assert!(
+            interleaved * 2 > pages.len(),
+            "only {interleaved} of {} breadth-first arenas are interleaved",
+            pages.len()
         );
     }
 }

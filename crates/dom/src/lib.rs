@@ -33,7 +33,7 @@ pub mod stream;
 pub mod tokenizer;
 pub mod traverse;
 
-pub use arena::{Document, Element, Node, NodeId, NodeKind};
+pub use arena::{Document, NodeId, NodeKind};
 pub use index::{DocIndex, RecordLayout, RecordSpan};
 pub use interner::{intern, Sym};
 pub use parser::parse;

@@ -20,8 +20,10 @@
 //! synthesis: the paper's own examples (Figure 1) nest `<tr>` directly in a
 //! `<div>`, and the learned xpaths rely on that verbatim structure.
 
-use crate::arena::{Document, Element, NodeId, NodeKind};
-use crate::tokenizer::{tokenize, Token};
+use std::borrow::Cow;
+
+use crate::arena::{Document, NodeId};
+use crate::tokenizer::{Token, Tokenizer};
 
 /// Elements that never have children.
 pub const VOID_ELEMENTS: &[&str] = &[
@@ -70,17 +72,18 @@ pub(crate) fn is_scope_boundary(tag: &str) -> bool {
 /// ```
 pub fn parse(input: &str) -> Document {
     let mut doc = Document::new();
-    // Stack of currently-open element ids; the root is always open.
-    let mut open: Vec<(NodeId, String)> = Vec::new();
+    // Stack of currently-open elements; the root is always open.
+    let mut open: Vec<(NodeId, Cow<'_, str>)> = Vec::new();
 
     let current =
-        |open: &Vec<(NodeId, String)>| open.last().map(|(id, _)| *id).unwrap_or(NodeId::ROOT);
+        |open: &Vec<(NodeId, Cow<'_, str>)>| open.last().map(|(id, _)| *id).unwrap_or(NodeId::ROOT);
 
-    for token in tokenize(input) {
+    let mut tokens = Tokenizer::new(input);
+    while let Some(token) = tokens.next_token() {
         match token {
             Token::Doctype(_) => {}
             Token::Comment(c) => {
-                doc.append(current(&open), NodeKind::Comment(c));
+                doc.append_comment(current(&open), c);
             }
             Token::Text(t) => {
                 let collapsed = collapse_whitespace(&t);
@@ -88,19 +91,10 @@ pub fn parse(input: &str) -> Document {
                     doc.append_text(current(&open), collapsed);
                 }
             }
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => {
+            Token::StartTag { name, self_closing } => {
                 apply_implied_closes(&mut open, &name);
-                let id = doc.append(
-                    current(&open),
-                    NodeKind::Element(Element {
-                        tag: name.clone(),
-                        attrs,
-                    }),
-                );
+                let attrs = tokens.attrs().iter().map(|(n, v)| (&**n, &**v));
+                let id = doc.push_element(current(&open), &name, attrs);
                 if !self_closing && !is_void(&name) {
                     open.push((id, name));
                 }
@@ -120,14 +114,14 @@ pub fn parse(input: &str) -> Document {
     doc
 }
 
-fn apply_implied_closes(open: &mut Vec<(NodeId, String)>, incoming: &str) {
+fn apply_implied_closes(open: &mut Vec<(NodeId, Cow<'_, str>)>, incoming: &str) {
     let closes = implied_closes(incoming);
     if closes.is_empty() {
         return;
     }
     // Search upward for a closeable element, stopping at scope boundaries.
     for i in (0..open.len()).rev() {
-        let tag = open[i].1.as_str();
+        let tag = &*open[i].1;
         if closes.contains(&tag) {
             open.truncate(i);
             // A single incoming tag may imply several closes (e.g. `tr`
@@ -145,6 +139,13 @@ fn apply_implied_closes(open: &mut Vec<(NodeId, String)>, incoming: &str) {
 /// string for whitespace-only input. Non-breaking spaces count as whitespace.
 pub fn collapse_whitespace(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    collapse_whitespace_into(s, &mut out);
+    out
+}
+
+/// Appends `s` to `out` as [`collapse_whitespace`] would return it.
+pub fn collapse_whitespace_into(s: &str, out: &mut String) {
+    let start = out.len();
     let mut in_ws = true; // leading ws is dropped
     for c in s.chars() {
         if c.is_whitespace() || c == '\u{a0}' {
@@ -157,20 +158,20 @@ pub fn collapse_whitespace(s: &str) -> String {
             in_ws = false;
         }
     }
-    while out.ends_with(' ') {
-        out.pop();
+    if in_ws && out.len() > start {
+        out.pop(); // the one trailing space
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::NodeKind;
 
     /// Renders the tree shape as an s-expression for compact assertions.
     fn shape(doc: &Document) -> String {
         fn rec(doc: &Document, id: NodeId, out: &mut String) {
-            match &doc.node(id).kind {
+            match doc.kind(id) {
                 NodeKind::Document => {
                     out.push_str("(#doc");
                     for &c in doc.children(id) {
@@ -179,12 +180,13 @@ mod tests {
                     }
                     out.push(')');
                 }
-                NodeKind::Element(e) => {
+                NodeKind::Element => {
+                    let tag = doc.tag(id).expect("element");
                     if doc.children(id).is_empty() {
-                        out.push_str(&e.tag);
+                        out.push_str(tag);
                     } else {
                         out.push('(');
-                        out.push_str(&e.tag);
+                        out.push_str(tag);
                         for &c in doc.children(id) {
                             out.push(' ');
                             rec(doc, c, out);
@@ -192,12 +194,12 @@ mod tests {
                         out.push(')');
                     }
                 }
-                NodeKind::Text(t) => {
+                NodeKind::Text => {
                     out.push('\'');
-                    out.push_str(t);
+                    out.push_str(doc.text(id).expect("text"));
                     out.push('\'');
                 }
-                NodeKind::Comment(_) => out.push_str("#c"),
+                NodeKind::Comment => out.push_str("#c"),
             }
         }
         let mut s = String::new();

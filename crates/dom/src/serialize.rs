@@ -9,7 +9,7 @@
 //! depends on its output").
 
 use crate::arena::{Document, NodeId, NodeKind};
-use crate::entities::escape;
+use crate::entities::escape_into;
 use crate::parser::is_void;
 
 /// The byte range of one text node in a serialized page.
@@ -66,9 +66,11 @@ pub fn serialize_with_spans(doc: &Document) -> SerializedPage {
 }
 
 fn write_node(doc: &Document, id: NodeId, page: &mut SerializedPage) {
-    match &doc.node(id).kind {
+    let html = &mut page.html;
+    match doc.kind(id) {
         NodeKind::Document => unreachable!("root is never a child"),
-        NodeKind::Text(t) => {
+        NodeKind::Text => {
+            let t = doc.text(id).expect("text node");
             // Raw-text elements (script/style) are not entity-decoded by
             // the tokenizer, so they must not be escaped here either —
             // otherwise serialize∘parse would not be idempotent.
@@ -76,42 +78,43 @@ fn write_node(doc: &Document, id: NodeId, page: &mut SerializedPage) {
                 doc.parent(id).and_then(|p| doc.tag(p)),
                 Some("script" | "style")
             );
-            let start = page.html.len();
+            let start = html.len();
             if raw_parent {
-                page.html.push_str(t);
+                html.push_str(t);
             } else {
-                page.html.push_str(&escape(t));
+                escape_into(t, html);
             }
             page.spans.push(TextSpan {
                 node: id,
                 start,
-                end: page.html.len(),
+                end: html.len(),
             });
         }
-        NodeKind::Comment(c) => {
-            page.html.push_str("<!--");
-            page.html.push_str(c);
-            page.html.push_str("-->");
+        NodeKind::Comment => {
+            html.push_str("<!--");
+            html.push_str(doc.comment(id).expect("comment node"));
+            html.push_str("-->");
         }
-        NodeKind::Element(e) => {
-            page.html.push('<');
-            page.html.push_str(&e.tag);
-            for (name, value) in &e.attrs {
-                page.html.push(' ');
-                page.html.push_str(name);
-                page.html.push_str("=\"");
-                page.html.push_str(&escape(value));
-                page.html.push('"');
+        NodeKind::Element => {
+            let tag = doc.tag(id).expect("element node");
+            html.push('<');
+            html.push_str(tag);
+            for (name, value) in doc.attributes(id) {
+                html.push(' ');
+                html.push_str(name);
+                html.push_str("=\"");
+                escape_into(value, html);
+                html.push('"');
             }
-            page.html.push('>');
-            if is_void(&e.tag) {
+            html.push('>');
+            if is_void(tag) {
                 return;
             }
             for &c in doc.children(id) {
                 write_node(doc, c, page);
             }
             page.html.push_str("</");
-            page.html.push_str(&e.tag);
+            page.html.push_str(tag);
             page.html.push('>');
         }
     }

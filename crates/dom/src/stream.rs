@@ -1,28 +1,36 @@
 //! One-pass streaming parse→index.
 //!
-//! [`StreamIndexer`] drives the pull tokenizer ([`crate::tokenizer::Tokenizer`])
-//! directly and emits a fully populated [`Document`] *and* its
-//! [`DocIndex`] in a single traversal, where the classic path
-//! ([`crate::parser::parse`] then [`Document::index`]) walks the finished
-//! tree a second time. The request path of the serving tier parses every
-//! page exactly once and immediately evaluates compiled xpaths against
-//! the index, so fusing the two passes roughly halves the pre-evaluation
-//! cost per page.
+//! [`parse_indexed`] drives the pull tokenizer ([`crate::tokenizer::Tokenizer`])
+//! directly and emits a fully populated [`Document`] *and* its index in
+//! a single traversal, where the classic path ([`crate::parser::parse`]
+//! then [`Document::index`]) walks the finished tree a second time. The
+//! request path of the serving tier parses every page exactly once and
+//! immediately evaluates compiled xpaths against the index, so fusing
+//! the two passes roughly halves the pre-evaluation cost per page.
 //!
 //! The fusion works because parser-built arenas allocate nodes in
 //! document order, so **arena index = pre-order rank** and every index
 //! table can be filled at the tree-construction event that determines it:
 //!
-//! * ranks and `by_rank` are the creation counter itself, bulk-built as
-//!   identity tables at EOF;
-//! * posting lists (tag / element / text) are appended at open events —
-//!   creation order is rank order, so they are sorted by construction
-//!   and [`DocIndex::ranks_monotone`] holds by construction;
-//! * subtree spans are recorded at close events (end tags, implied
-//!   closes, EOF) and patched over a leaf-default (`rank + 1`) table at
-//!   EOF;
+//! * ranks need no table at all: a document whose arena order is
+//!   pre-order stores no rank maps ([`DocIndex::ranks_monotone`]);
+//! * posting lists (element / text) are appended at open events —
+//!   creation order is rank order, so they are sorted by construction;
+//!   the per-tag postings are one CSR array, grouped by a counting pass
+//!   over the element postings at EOF;
+//! * subtree spans default to `rank + 1` at open events and are patched
+//!   at close events (end tags, implied closes, EOF);
 //! * sibling-position caches come from counters carried on the
-//!   open-element stack; the attribute table is appended per open event.
+//!   open-element stack.
+//!
+//! Tokens borrow the input, so the builder copies each tag name into
+//! nothing (it resolves to a local name index), each text run once (into
+//! the document's text buffer, whitespace-collapsed on the way) and each
+//! distinct attribute value once (into the same buffer, through the
+//! document's keyed value table). The builder's tables are per-thread
+//! scratch that survives from page to page; a finished page copies them
+//! out at their exact sizes, so a page costs about a dozen allocations
+//! whatever its token count, and its document retains no slack capacity.
 //!
 //! The template fingerprint is computed eagerly over the finished tables
 //! before the index is published (the serving path always
@@ -33,29 +41,33 @@
 //!
 //! The tree-repair rules are the parser's, sharing its private
 //! `implied_closes` / `is_scope_boundary` / `is_void` tables (via the
-//! per-page `TagInfo` cache), but the construction loop is deliberately
-//! *duplicated*, not shared: `parse` + `DocIndex::build` stay an
-//! independent differential oracle, and the robustness/differential
-//! suites assert byte-identical output between the two paths on
-//! arbitrary markup — the same relationship the reference xpath engine
-//! has to the compiled engines.
+//! per-thread `TagInfo` cache), but the construction loop is deliberately
+//! *duplicated*, not shared: `parse` (through the [`Document`] builder
+//! methods) plus the classic index build stay an independent
+//! differential oracle that fills the same representation, and the
+//! robustness/differential suites assert byte-identical output between
+//! the two paths on arbitrary markup — the same relationship the
+//! reference xpath engine has to the compiled engines.
 
-use std::collections::hash_map::Entry;
+use std::cell::RefCell;
 use std::ops::Deref;
+use std::sync::OnceLock;
 
-use crate::arena::{Document, Element, Node, NodeId, NodeKind};
-use crate::index::DocIndex;
-use crate::interner::{intern_resolved, Sym};
-use crate::parser::{collapse_whitespace, implied_closes, is_scope_boundary, is_void};
-use crate::tokenizer::{Token, Tokenizer};
+use crate::arena::{
+    offset, Document, NameTable, NodeRec, ValueTable, NAME_COMMENT, NAME_ROOT, NAME_TEXT, NO_PARENT,
+};
+use crate::index::{DocIndex, IndexTables};
+use crate::interner::Sym;
+use crate::parser::{collapse_whitespace_into, implied_closes, is_scope_boundary, is_void};
+use crate::tokenizer::{Attr, Token, Tokenizer};
 
 /// A [`Document`] whose evaluation index was built during parsing.
 ///
 /// Dereferences to [`Document`]; [`Document::index`] returns the
 /// pre-built index without a second traversal. The usual invalidation
 /// contract is untouched: mutating the document afterwards (via
-/// [`Document::append`] and friends) drops the streamed index and the
-/// next [`Document::index`] call rebuilds lazily.
+/// [`Document::append_element`] and friends) drops the streamed index
+/// and the next [`Document::index`] call rebuilds lazily.
 #[derive(Clone, Debug)]
 pub struct IndexedDocument {
     doc: Document,
@@ -94,19 +106,17 @@ impl Deref for IndexedDocument {
 /// );
 /// ```
 pub fn parse_indexed(input: &str) -> IndexedDocument {
-    // Node-count hint: every element/comment costs one `<` and most end
-    // tags another, while text nodes roughly track open tags — so the
-    // raw `<` count sits close above the final node count. One
-    // vectorizable byte scan here keeps the eight per-node tables from
-    // regrowing (and re-copying) mid-parse.
-    let hint = input.as_bytes().iter().filter(|&&b| b == b'<').count() + 8;
-    let mut builder = StreamIndexer::new(hint);
-    let mut tokens = Tokenizer::new(input);
-    while let Some(token) = tokens.next_token() {
-        builder.push_token(token);
+    thread_local! {
+        static BUILDER: RefCell<StreamIndexer> = RefCell::new(StreamIndexer::default());
     }
-    builder.finish()
+    BUILDER.with(|builder| builder.borrow_mut().run(input))
 }
+
+/// Scratch tables above these capacities are released after the page
+/// that grew them, so one huge page does not pin its builder memory in
+/// the thread for good.
+const KEEP_NODES: usize = 1 << 16;
+const KEEP_TEXT_BYTES: usize = 1 << 22;
 
 /// One open element: its rank plus the running sibling counters for the
 /// children appended under it. Index 0 of the stack is a sentinel for
@@ -116,8 +126,7 @@ struct OpenEntry {
     /// Arena index = pre-order rank of the open node.
     rank: u32,
     /// Interned tag name; matched by end tags and implied closes exactly
-    /// as the parser matches its own open stack. Borrowing the interner's
-    /// leaked copy makes pushing an open element clone-free.
+    /// as the parser matches its own open stack.
     tag: &'static str,
     /// Precomputed [`is_scope_boundary`] of `tag` — the implied-close
     /// scan tests it on every entry it walks past.
@@ -126,17 +135,18 @@ struct OpenEntry {
     elems: u32,
     /// Text children appended so far.
     texts: u32,
-    /// Per-tag element child counts (fan-out is small; linear scan beats
-    /// a map here).
-    by_tag: Vec<(Sym, u32)>,
+    /// Where this element's per-tag child counters start in
+    /// [`StreamIndexer::by_tag`]; they run to its end while the element
+    /// is the innermost open one.
+    by_tag_start: u32,
 }
 
-/// Everything the builder needs to know about one tag name, resolved
-/// once per distinct name per page: its interned symbol and `'static`
-/// spelling, plus the repair-rule classifications the parser would
-/// otherwise recompute from strings on every sighting. All derived from
-/// the parser's own tables ([`is_void`] / [`implied_closes`] /
-/// [`is_scope_boundary`]), so the repair semantics stay shared.
+/// Everything the builder needs to know about one tag or attribute
+/// name: its interned symbol and `'static` spelling, plus the
+/// repair-rule classifications the parser would otherwise recompute
+/// from strings on every sighting. All derived from the parser's own
+/// tables ([`is_void`] / [`implied_closes`] / [`is_scope_boundary`]),
+/// so the repair semantics stay shared.
 #[derive(Clone, Copy)]
 struct TagInfo {
     name: &'static str,
@@ -146,47 +156,68 @@ struct TagInfo {
     boundary: bool,
 }
 
-/// A tiny first-seen cache in front of the process-global interner.
-///
-/// A page draws its tags and attribute names from a vocabulary of a few
-/// dozen strings repeated hundreds of times; a linear scan over the
-/// page's own distinct names (string equality fails fast on length)
-/// beats taking the interner's read lock and hashing on every sighting.
-/// This is state only a builder that lives across parse events can
-/// carry — the classic path interns from scratch per table pass.
-#[derive(Default)]
-struct SymCache {
-    entries: Vec<TagInfo>,
+/// A cached name and its local index in the page it was last seen on.
+struct CachedName {
+    info: TagInfo,
+    local: u32,
+    page: u64,
 }
 
-impl SymCache {
-    fn get(&mut self, name: &str) -> TagInfo {
-        for i in 0..self.entries.len() {
-            let info = self.entries[i];
-            if info.name == name {
-                // Transpose heuristic: a hit bubbles one slot toward the
-                // front, so the page's hot names self-organize to the
-                // start of the scan.
-                if i > 0 {
-                    self.entries.swap(i, i - 1);
+/// A small cache in front of the process-global interner, kept across
+/// pages.
+///
+/// Pages draw their tags and attribute names from a vocabulary of a few
+/// dozen strings repeated hundreds of times; a linear scan over those
+/// names (string equality fails fast on length) beats taking the
+/// interner's read lock and hashing on every sighting.
+#[derive(Default)]
+struct NameCache {
+    entries: Vec<CachedName>,
+}
+
+/// Names a [`NameCache`] keeps; further misses replace its coldest entry.
+const CACHE_NAMES: usize = 64;
+
+impl NameCache {
+    /// `name`'s info and its local index in `names`, the name table of
+    /// page `page`.
+    fn get(&mut self, name: &str, names: &mut NameTable, page: u64) -> (TagInfo, u32) {
+        let i = match self.entries.iter().position(|e| e.info.name == name) {
+            Some(i) => i,
+            None => {
+                let local = names.insert_str(name);
+                let (sym, name) = names.get(local);
+                let entry = CachedName {
+                    info: TagInfo {
+                        name,
+                        sym,
+                        void: is_void(name),
+                        closes: implied_closes(name),
+                        boundary: is_scope_boundary(name),
+                    },
+                    local,
+                    page,
+                };
+                if self.entries.len() < CACHE_NAMES {
+                    self.entries.push(entry);
+                } else {
+                    *self.entries.last_mut().expect("full cache") = entry;
                 }
-                return info;
+                self.entries.len() - 1
             }
-        }
-        let (sym, leaked) = intern_resolved(name);
-        let info = TagInfo {
-            name: leaked,
-            sym,
-            void: is_void(name),
-            closes: implied_closes(name),
-            boundary: is_scope_boundary(name),
         };
-        // A page with an absurd tag vocabulary degrades to the plain
-        // interner path instead of an O(distinct) scan per sighting.
-        if self.entries.len() < 64 {
-            self.entries.push(info);
+        let entry = &mut self.entries[i];
+        if entry.page != page {
+            entry.local = names.insert(entry.info.sym, entry.info.name);
+            entry.page = page;
         }
-        info
+        let found = (entry.info, entry.local);
+        // Transpose heuristic: a hit bubbles one slot toward the front,
+        // so the hot names self-organize to the start of the scan.
+        if i > 0 {
+            self.entries.swap(i, i - 1);
+        }
+        found
     }
 }
 
@@ -216,270 +247,195 @@ fn is_collapsed(t: &str) -> bool {
     true
 }
 
-/// The one-pass builder: consumes tokens, emits `Document` + `DocIndex`.
+/// The one-pass builder: consumes tokens, emits `Document` + index.
+///
+/// Lives in thread-local scratch ([`parse_indexed`]): every table is
+/// cleared, not freed, between pages.
+#[derive(Default)]
 pub struct StreamIndexer {
-    nodes: Vec<Node>,
-    idx: DocIndex,
+    // The page's document tables.
+    nodes: Vec<NodeRec>,
+    names: NameTable,
+    attrs: Vec<(Sym, u32)>,
+    values: ValueTable,
+    text: String,
+    // Its index tables (ranks are implicit: arena order is pre-order).
+    subtree_end: Vec<u32>,
+    pos: Vec<(u32, u32)>,
+    elem_postings: Vec<u32>,
+    text_postings: Vec<u32>,
+    // Construction state.
     stack: Vec<OpenEntry>,
-    /// Non-leaf close events as `(rank, subtree_end)`; ranks, `by_rank`
-    /// and the leaf-default span table are identities of the creation
-    /// order, so they are bulk-built at [`StreamIndexer::finish`] and
-    /// only these recorded closes patch the default.
-    closes: Vec<(u32, u32)>,
-    /// Retired `by_tag` buffers, reused so closing and reopening
-    /// elements does not churn the allocator.
-    pool: Vec<Vec<(Sym, u32)>>,
-    /// First-seen caches for the page's tag and attribute-name
-    /// vocabularies (kept apart so each scan stays short).
-    tags: SymCache,
-    attr_names: SymCache,
-    /// Tag posting lists accumulated per symbol id (dense — tag symbols
-    /// are interned early and low), drained into the index's hash map
-    /// once at EOF: one map insert per *distinct* tag instead of one
-    /// map probe per element.
-    postings: Vec<Vec<u32>>,
-    /// Symbol ids with a non-empty list in `postings`, in first-seen
-    /// order.
-    posted_syms: Vec<u32>,
-    /// Per-attribute-name memo (indexed by name symbol id, dense like
-    /// `postings`) of values resolved through the keyed `attr_values`
-    /// map: a few entries per name, transposed toward the front on hit
-    /// like [`SymCache`]. Template pages cycle a name through a small
-    /// value set (`class='row'` / `'name'` / `'phone'`) hundreds of
-    /// times; after one warmup sighting each, a short fail-fast scan
-    /// replaces the keyed-hash probe and the `String` clone. Only map
-    /// *hits* are memoized, so never-repeating values (hrefs) cost a
-    /// failed scan and no extra allocation — and the keyed map stays
-    /// authoritative, so id assignment is unchanged and crafted values
-    /// cannot collide their way around the keyed hash.
-    val_memo: Vec<Vec<(String, u32)>>,
+    /// Per-tag element child counters `(local name, count)` of the open
+    /// elements, one segment per element (see [`OpenEntry::by_tag_start`]).
+    by_tag: Vec<(u32, u32)>,
+    /// Per local name: element count, then CSR cursor (at EOF).
+    tag_counts: Vec<u32>,
+    /// `(tag, local name)` of the page's element tags, sorted (at EOF).
+    tag_order: Vec<(Sym, u32)>,
+    tags: NameCache,
+    attr_names: NameCache,
+    /// Pages built so far; stamps the caches' local indices.
+    page: u64,
 }
 
 impl StreamIndexer {
-    fn new(capacity: usize) -> Self {
-        let mut idx = DocIndex::default();
-        // The synthetic root's row of the per-node tables; ranks and
-        // spans are bulk-built at EOF.
-        idx.tag.reserve(capacity);
-        idx.tag.push(None);
-        idx.same_tag_pos.reserve(capacity);
-        idx.same_tag_pos.push(0);
-        idx.elem_pos.reserve(capacity);
-        idx.elem_pos.push(0);
-        idx.text_pos.reserve(capacity);
-        idx.text_pos.push(0);
-        idx.attr_offsets.reserve(capacity + 1);
-        idx.attr_offsets.push(0);
-        // Crawled listing markup runs roughly half elements, half text.
-        idx.elem_postings.reserve(capacity / 2);
-        idx.text_postings.reserve(capacity / 2);
-        let mut nodes = Vec::with_capacity(capacity);
-        nodes.push(Node {
-            kind: NodeKind::Document,
-            parent: None,
-            children: Vec::new(),
+    /// Parses one page.
+    fn run(&mut self, input: &str) -> IndexedDocument {
+        self.start_page();
+        let mut tokens = Tokenizer::new(input);
+        while let Some(token) = tokens.next_token() {
+            match token {
+                Token::StartTag { name, self_closing } => {
+                    self.start_tag(&name, tokens.attrs(), self_closing)
+                }
+                Token::EndTag { name } => self.end_tag(&name),
+                Token::Text(t) => self.text(&t),
+                Token::Comment(c) => self.comment(c),
+                Token::Doctype(_) => {}
+            }
+        }
+        let doc = self.finish();
+        if self.nodes.capacity() > KEEP_NODES || self.text.capacity() > KEEP_TEXT_BYTES {
+            *self = StreamIndexer::default();
+        }
+        doc
+    }
+
+    fn start_page(&mut self) {
+        self.page += 1;
+        self.nodes.clear();
+        self.names.clear();
+        self.attrs.clear();
+        self.values.clear();
+        self.text.clear();
+        self.subtree_end.clear();
+        self.pos.clear();
+        self.elem_postings.clear();
+        self.text_postings.clear();
+        self.by_tag.clear();
+        self.stack.clear();
+        self.nodes.push(NodeRec {
+            parent: NO_PARENT,
+            name: NAME_ROOT,
+            lo: 0,
+            hi: 0,
         });
-        StreamIndexer {
-            nodes,
-            idx,
-            stack: vec![OpenEntry {
-                rank: 0,
-                tag: "",
-                boundary: false,
-                elems: 0,
-                texts: 0,
-                by_tag: Vec::new(),
-            }],
-            closes: Vec::new(),
-            pool: Vec::new(),
-            tags: SymCache::default(),
-            attr_names: SymCache::default(),
-            postings: Vec::new(),
-            posted_syms: Vec::new(),
-            val_memo: Vec::new(),
-        }
+        self.subtree_end.push(1);
+        self.pos.push((0, 0));
+        self.stack.push(OpenEntry {
+            rank: 0,
+            tag: "",
+            boundary: false,
+            elems: 0,
+            texts: 0,
+            by_tag_start: 0,
+        });
     }
 
-    /// Feeds one token through the tidy-style construction rules,
-    /// updating tree and index together.
-    fn push_token(&mut self, token: Token) {
-        match token {
-            Token::Doctype(_) => {}
-            Token::Comment(c) => {
-                let attr_start = self.idx.attrs.len() as u32;
-                self.append(NodeKind::Comment(c), None, (0, 0, 0), attr_start);
-            }
-            Token::Text(t) => {
-                // Owning the token lets already-collapsed text (the
-                // common case in rendered markup) move straight into the
-                // node, skipping the rebuild allocation.
-                let collapsed = if is_collapsed(&t) {
-                    t
-                } else {
-                    collapse_whitespace(&t)
-                };
-                if collapsed.is_empty() {
-                    return;
-                }
-                let parent = self.stack.last_mut().expect("root sentinel");
-                parent.texts += 1;
-                let pos = parent.texts;
-                let attr_start = self.idx.attrs.len() as u32;
-                let r = self.append(NodeKind::Text(collapsed), None, (0, 0, pos), attr_start);
-                self.idx.text_postings.push(r);
-            }
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => {
-                let info = self.tags.get(&name);
-                let sym = info.sym;
-                if !info.closes.is_empty() {
-                    self.apply_implied_closes(info.closes);
-                }
-                let parent = self.stack.last_mut().expect("root sentinel");
-                parent.elems += 1;
-                let elem_pos = parent.elems;
-                let same_tag = match parent.by_tag.iter_mut().find(|(s, _)| *s == sym) {
-                    Some((_, k)) => {
-                        *k += 1;
-                        *k
-                    }
-                    None => {
-                        parent.by_tag.push((sym, 1));
-                        1
-                    }
-                };
-                let keep_open = !self_closing && !info.void;
-                // Attribute table before the node payload consumes
-                // `attrs`; value ids are dense first-seen, which in
-                // creation order matches the classic build's arena pass.
-                let attr_start = self.idx.attrs.len() as u32;
-                for (aname, value) in &attrs {
-                    let nsym = self.attr_names.get(aname).sym;
-                    let slot = nsym.0 as usize;
-                    if slot >= self.val_memo.len() {
-                        self.val_memo.resize_with(slot + 1, Vec::new);
-                    }
-                    let cache = &mut self.val_memo[slot];
-                    let vid = match cache.iter().position(|(s, _)| s == value) {
-                        Some(i) => {
-                            let id = cache[i].1;
-                            if i > 0 {
-                                cache.swap(i, i - 1);
-                            }
-                            id
-                        }
-                        None => {
-                            // One hash for both outcomes: brand-new
-                            // values (hrefs — the common miss) insert
-                            // directly; a repeat the memo missed is
-                            // worth memoizing for its next sighting.
-                            let next_id = self.idx.attr_values.len() as u32;
-                            match self.idx.attr_values.entry(value.clone()) {
-                                Entry::Occupied(e) => {
-                                    let v = *e.get();
-                                    if cache.len() < 4 {
-                                        cache.push((value.clone(), v));
-                                    } else {
-                                        // Evict the coldest (rear) slot;
-                                        // transpose keeps hot values in
-                                        // front of it.
-                                        *cache.last_mut().expect("cap 4") = (value.clone(), v);
-                                    }
-                                    v
-                                }
-                                Entry::Vacant(e) => {
-                                    e.insert(next_id);
-                                    next_id
-                                }
-                            }
-                        }
-                    };
-                    self.idx.attrs.push((nsym, vid));
-                }
-                let r = self.append(
-                    NodeKind::Element(Element { tag: name, attrs }),
-                    Some(sym),
-                    (same_tag, elem_pos, 0),
-                    attr_start,
-                );
-                self.idx.elem_postings.push(r);
-                let slot = sym.0 as usize;
-                if slot >= self.postings.len() {
-                    self.postings.resize_with(slot + 1, Vec::new);
-                }
-                if self.postings[slot].is_empty() {
-                    self.posted_syms.push(sym.0);
-                }
-                self.postings[slot].push(r);
-                if keep_open {
-                    self.stack.push(OpenEntry {
-                        rank: r,
-                        tag: info.name,
-                        boundary: info.boundary,
-                        elems: 0,
-                        texts: 0,
-                        by_tag: self.pool.pop().unwrap_or_default(),
-                    });
-                }
-            }
-            Token::EndTag { name } => {
-                // Nearest matching open element; the root sentinel's
-                // empty tag never matches. Unmatched end tags drop —
-                // which subsumes the parser's explicit "</br>" rule,
-                // since void elements are never kept open.
-                if let Some(pos) = self.stack.iter().rposition(|e| e.tag == name) {
-                    debug_assert!(pos > 0, "end tag matched the root sentinel");
-                    self.close_to(pos);
-                }
-            }
-        }
-    }
-
-    /// Appends one node under the innermost open element, filling every
-    /// per-node index table except the posting lists (which the caller
-    /// owns). `positions` is the `(same_tag, element, text)`
-    /// sibling-cache triple; `attr_start` is where this node's attribute
-    /// pairs begin in the attribute table (the caller appends them
-    /// *before* calling).
-    fn append(
-        &mut self,
-        kind: NodeKind,
-        tag: Option<Sym>,
-        positions: (u32, u32, u32),
-        attr_start: u32,
-    ) -> u32 {
+    /// Appends one node under the innermost open element, with its
+    /// payload range and `(same-tag, own-kind)` sibling positions, as a
+    /// leaf (its span is patched if it closes over children).
+    fn append(&mut self, name: u32, lo: usize, hi: usize, pos: (u32, u32)) -> u32 {
         let r = self.nodes.len() as u32;
         let parent = self.stack.last().expect("root sentinel").rank;
-        self.nodes.push(Node {
-            kind,
-            parent: Some(NodeId(parent)),
-            children: Vec::new(),
+        self.nodes.push(NodeRec {
+            parent,
+            name,
+            lo: offset(lo),
+            hi: offset(hi),
         });
-        self.nodes[parent as usize].children.push(NodeId(r));
-        self.idx.tag.push(tag);
-        self.idx.same_tag_pos.push(positions.0);
-        self.idx.elem_pos.push(positions.1);
-        self.idx.text_pos.push(positions.2);
-        self.idx.attr_offsets.push(attr_start);
+        self.subtree_end.push(r + 1);
+        self.pos.push(pos);
         r
+    }
+
+    fn comment(&mut self, body: &str) {
+        let lo = self.text.len();
+        self.text.push_str(body);
+        self.append(NAME_COMMENT, lo, self.text.len(), (0, 0));
+    }
+
+    fn text(&mut self, t: &str) {
+        // Collapse straight into the text buffer; already-collapsed text
+        // (the common case in rendered markup) is one copy.
+        let lo = self.text.len();
+        if is_collapsed(t) {
+            self.text.push_str(t);
+        } else {
+            collapse_whitespace_into(t, &mut self.text);
+        }
+        if self.text.len() == lo {
+            return;
+        }
+        let parent = self.stack.last_mut().expect("root sentinel");
+        parent.texts += 1;
+        let k = parent.texts;
+        let r = self.append(NAME_TEXT, lo, self.text.len(), (0, k));
+        self.text_postings.push(r);
+    }
+
+    fn start_tag(&mut self, name: &str, attrs: &[Attr<'_>], self_closing: bool) {
+        let (info, local) = self.tags.get(name, &mut self.names, self.page);
+        if !info.closes.is_empty() {
+            self.apply_implied_closes(info.closes);
+        }
+        let parent = self.stack.last_mut().expect("root sentinel");
+        parent.elems += 1;
+        let elem_pos = parent.elems;
+        let counters = &mut self.by_tag[parent.by_tag_start as usize..];
+        let same_tag = match counters.iter_mut().find(|(l, _)| *l == local) {
+            Some((_, k)) => {
+                *k += 1;
+                *k
+            }
+            None => {
+                self.by_tag.push((local, 1));
+                1
+            }
+        };
+        // Value ids are dense first-seen, which in creation order
+        // matches the builder methods' append order.
+        let lo = self.attrs.len();
+        for (aname, value) in attrs {
+            let (ainfo, _) = self.attr_names.get(aname, &mut self.names, self.page);
+            let vid = self.values.intern(&mut self.text, value);
+            self.attrs.push((ainfo.sym, vid));
+        }
+        let r = self.append(local, lo, self.attrs.len(), (same_tag, elem_pos));
+        self.elem_postings.push(r);
+        if !self_closing && !info.void {
+            self.stack.push(OpenEntry {
+                rank: r,
+                tag: info.name,
+                boundary: info.boundary,
+                elems: 0,
+                texts: 0,
+                by_tag_start: self.by_tag.len() as u32,
+            });
+        }
+    }
+
+    fn end_tag(&mut self, name: &str) {
+        // Nearest matching open element; the root sentinel's empty tag
+        // never matches. Unmatched end tags drop — which subsumes the
+        // parser's explicit "</br>" rule, since void elements are never
+        // kept open.
+        if let Some(pos) = self.stack.iter().rposition(|e| e.tag == name) {
+            debug_assert!(pos > 0, "end tag matched the root sentinel");
+            self.close_to(pos);
+        }
     }
 
     /// Closes every open element above (and including) stack index
     /// `keep`: their subtrees all end at the next rank to be allocated.
-    /// Only non-leaf spans are recorded — the bulk-built span table
-    /// already defaults every rank to `rank + 1`.
     fn close_to(&mut self, keep: usize) {
         let end = self.nodes.len() as u32;
-        for mut entry in self.stack.drain(keep..) {
-            if entry.rank + 1 != end {
-                self.closes.push((entry.rank, end));
-            }
-            entry.by_tag.clear();
-            self.pool.push(entry.by_tag);
+        for entry in &self.stack[keep..] {
+            self.subtree_end[entry.rank as usize] = end;
         }
+        self.by_tag.truncate(self.stack[keep].by_tag_start as usize);
+        self.stack.truncate(keep);
     }
 
     /// Implied-end-tag repair over the open stack — the iterative twin
@@ -504,40 +460,71 @@ impl StreamIndexer {
         }
     }
 
-    /// EOF: closes everything still open (root included), bulk-builds
-    /// the identity rank tables and the span table, seals the
-    /// attribute-offset table, fingerprints, and publishes the index.
-    fn finish(mut self) -> IndexedDocument {
+    /// EOF: closes everything still open (root included), groups the
+    /// tag postings, copies the tables out at their exact sizes,
+    /// fingerprints, and publishes the index.
+    fn finish(&mut self) -> IndexedDocument {
         let n = self.nodes.len() as u32;
         for entry in self.stack.drain(..) {
-            if entry.rank + 1 != n {
-                self.closes.push((entry.rank, n));
-            }
+            self.subtree_end[entry.rank as usize] = n;
         }
-        // Creation order is rank order: the rank maps are identities and
-        // every unclosed-by-an-event node is a leaf spanning one rank.
-        self.idx.rank = (0..n).collect();
-        self.idx.by_rank = (0..n).map(NodeId).collect();
-        self.idx.subtree_end = (1..=n).collect();
-        for &(r, end) in &self.closes {
-            self.idx.subtree_end[r as usize] = end;
+
+        // Tag postings as one CSR array: count elements per local name,
+        // order the tags by symbol, then place each rank at its tag's
+        // cursor (ranks ascend, so every group does too).
+        let counts = &mut self.tag_counts;
+        counts.clear();
+        counts.resize(self.names.len(), 0);
+        for &r in &self.elem_postings {
+            counts[self.nodes[r as usize].name as usize] += 1;
         }
-        // One map insert per distinct tag; the per-element appends went
-        // to the dense accumulator.
-        for &s in &self.posted_syms {
-            let list = std::mem::take(&mut self.postings[s as usize]);
-            self.idx.tag_postings.insert(Sym(s), list);
+        self.tag_order.clear();
+        self.tag_order.extend(
+            (0..counts.len() as u32)
+                .filter(|&l| counts[l as usize] > 0)
+                .map(|l| (self.names.get(l).0, l)),
+        );
+        self.tag_order.sort_unstable();
+        let mut tags = Vec::with_capacity(self.tag_order.len());
+        let mut end = 0;
+        for &(sym, local) in &self.tag_order {
+            let count = counts[local as usize];
+            counts[local as usize] = end;
+            end += count;
+            tags.push((sym, end));
         }
-        self.idx.attr_offsets.push(self.idx.attrs.len() as u32);
-        // Creation order *is* rank order.
-        self.idx.monotone = true;
+        let mut tag_ranks = vec![0; self.elem_postings.len()];
+        for &r in &self.elem_postings {
+            let cursor = &mut counts[self.nodes[r as usize].name as usize];
+            tag_ranks[*cursor as usize] = r;
+            *cursor += 1;
+        }
+
+        let doc = Document::from_tables(
+            self.nodes.clone(),
+            self.names.clone(),
+            self.attrs.clone(),
+            self.values.compact(&self.text),
+            self.text.clone(),
+        );
+        let tables = IndexTables {
+            rank: Vec::new(),
+            by_rank: Vec::new(),
+            subtree_end: self.subtree_end.clone(),
+            pos: self.pos.clone(),
+            tags,
+            tag_ranks,
+            elem_postings: self.elem_postings.clone(),
+            text_postings: self.text_postings.clone(),
+            fingerprint: OnceLock::new(),
+            record_layout: OnceLock::new(),
+        };
         // Eager fingerprint over the hot tables; record layout stays
         // lazy like the classic path.
-        self.idx.template_fingerprint();
-        let doc = Document::from_nodes(self.nodes);
-        doc.index_cache()
-            .set(self.idx)
-            .expect("fresh document cannot have an index");
+        DocIndex::new(&doc, &tables).template_fingerprint();
+        if doc.index_cache().set(tables).is_err() {
+            unreachable!("fresh document cannot have an index");
+        }
         IndexedDocument { doc }
     }
 }
@@ -545,6 +532,7 @@ impl StreamIndexer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::NodeId;
     use crate::parser::parse;
     use crate::serialize;
 
@@ -574,10 +562,8 @@ mod tests {
             if let Some(sym) = si.tag_sym(id) {
                 assert_eq!(si.tag_postings(sym), oi.tag_postings(sym));
             }
-            if let Some(el) = streamed.element(id) {
-                for (_, value) in &el.attrs {
-                    assert_eq!(si.attr_value_id(value), oi.attr_value_id(value));
-                }
+            for (_, value) in streamed.attributes(id) {
+                assert_eq!(si.attr_value_id(value), oi.attr_value_id(value));
             }
         }
         assert_eq!(si.template_fingerprint(), oi.template_fingerprint());

@@ -89,16 +89,16 @@ impl<'a> XPathInductor<'a> {
         }
         for (i, anc) in doc.ancestors(id).enumerate() {
             let pos = (i + 1) as u16;
-            let Some(el) = doc.element(anc) else {
+            let Some(tag) = doc.tag(anc) else {
                 break; // reached the document root
             };
-            map.insert(XAttr::Tag(pos), el.tag.clone());
+            map.insert(XAttr::Tag(pos), tag.to_string());
             let k = idx.same_tag_pos(anc);
             if k > 0 {
                 map.insert(XAttr::ChildNum(pos), k.to_string());
             }
-            for (name, value) in &el.attrs {
-                map.insert(XAttr::Html(pos, name.clone()), value.clone());
+            for (name, value) in doc.attributes(anc) {
+                map.insert(XAttr::Html(pos, name.to_string()), value.to_string());
             }
         }
         map

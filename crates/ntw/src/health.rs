@@ -80,6 +80,29 @@ pub struct PageObservation {
 }
 
 impl PageObservation {
+    fn view(&self) -> PageView<'_> {
+        PageView {
+            html: &self.html,
+            values: self.values,
+            chars: self.chars,
+            error: self.error.is_some(),
+        }
+    }
+}
+
+/// A [`PageObservation`] borrowing its page: what the service knows
+/// about a served page without a copy of its HTML. Only the pages the
+/// retained ring keeps are copied, inside [`HealthTracker::observe`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PageView<'a> {
+    pub(crate) html: &'a str,
+    pub(crate) values: usize,
+    pub(crate) chars: usize,
+    /// Whether the page failed to parse.
+    pub(crate) error: bool,
+}
+
+impl PageView<'_> {
     fn is_empty(&self) -> bool {
         self.values == 0
     }
@@ -252,14 +275,17 @@ impl SiteState {
         let Some((base_values, base_chars)) = self.baseline else {
             return 0.0;
         };
-        let non_empty: Vec<&(bool, usize, usize, bool)> =
-            self.window.iter().filter(|(e, ..)| !e).collect();
-        if non_empty.is_empty() {
+        let (pages, values, chars) = self
+            .window
+            .iter()
+            .filter(|(e, ..)| !e)
+            .fold((0usize, 0usize, 0usize), |(n, v, c), &(_, pv, pc, _)| {
+                (n + 1, v + pv, c + pc)
+            });
+        if pages == 0 {
             return 0.0; // emptiness is the empty-rate signal's job
         }
-        let values: usize = non_empty.iter().map(|(_, v, ..)| v).sum();
-        let chars: usize = non_empty.iter().map(|(_, _, c, _)| c).sum();
-        let mean_values = values as f64 / non_empty.len() as f64;
+        let mean_values = values as f64 / pages as f64;
         let mean_chars = if values == 0 {
             0.0
         } else {
@@ -275,27 +301,37 @@ impl SiteState {
         rel(mean_values, base_values).max(rel(mean_chars, base_chars))
     }
 
-    /// The crossed threshold with its observed value, if any.
-    fn degradation(&self, t: &HealthThresholds) -> Option<String> {
+    /// The crossed threshold, if any: the signal, its observed value
+    /// and the threshold. Cheap, because a degraded site is judged on
+    /// every request; [`Degradation::reason`] spells it out for the
+    /// journal.
+    fn degradation(&self, t: &HealthThresholds) -> Option<Degradation> {
         if self.window.len() < t.min_window {
             return None;
         }
         let empty = self.empty_rate();
         if empty > t.max_empty_rate {
-            return Some(format!("empty rate {empty:.2} > {:.2}", t.max_empty_rate));
+            return Some(Degradation("empty rate", empty, t.max_empty_rate));
         }
         let miss = self.miss_rate();
         if miss > t.max_miss_rate {
-            return Some(format!(
-                "replay miss rate {miss:.2} > {:.2}",
-                t.max_miss_rate
-            ));
+            return Some(Degradation("replay miss rate", miss, t.max_miss_rate));
         }
         let drift = self.shape_drift();
         if drift > t.max_shape_drift {
-            return Some(format!("shape drift {drift:.2} > {:.2}", t.max_shape_drift));
+            return Some(Degradation("shape drift", drift, t.max_shape_drift));
         }
         None
+    }
+}
+
+/// A crossed health threshold: signal name, observed value, threshold.
+struct Degradation(&'static str, f64, f64);
+
+impl Degradation {
+    fn reason(&self) -> String {
+        let Degradation(signal, observed, threshold) = self;
+        format!("{signal} {observed:.2} > {threshold:.2}")
     }
 }
 
@@ -342,11 +378,32 @@ impl HealthTracker {
         observations: &[PageObservation],
         cache_stats: Option<(u64, u64)>,
     ) -> bool {
+        self.observe_views(
+            site,
+            observations.iter().map(PageObservation::view),
+            cache_stats,
+        )
+    }
+
+    /// [`HealthTracker::observe`] over borrowed pages (walked twice).
+    pub(crate) fn observe_views<'p>(
+        &self,
+        site: &str,
+        observations: impl Iterator<Item = PageView<'p>> + Clone,
+        cache_stats: Option<(u64, u64)>,
+    ) -> bool {
         let t = &self.thresholds;
         let mut sites = lock(&self.sites);
-        let state = sites.entry(site.to_string()).or_default();
+        // A known site (every request but its first) allocates no key.
+        if !sites.contains_key(site) {
+            sites.insert(site.to_string(), SiteState::default());
+        }
+        let state = sites.get_mut(site).expect("inserted above");
+        let (pages, healthy) = observations
+            .clone()
+            .fold((0, 0), |(n, ok), p| (n + 1, ok + usize::from(!p.error)));
         state.requests += 1;
-        state.pages += observations.len() as u64;
+        state.pages += pages as u64;
 
         // Replay-miss delta attributed to this request. A smaller
         // cumulative counter means the serving wrapper was swapped (its
@@ -357,39 +414,33 @@ impl HealthTracker {
             (None, _) => 0,
         };
         state.last_cache = cache_stats;
-        state
-            .miss_window
-            .push_back((miss_delta, observations.len()));
+        state.miss_window.push_back((miss_delta, pages));
         while state.miss_window.len() > t.window {
             state.miss_window.pop_front();
         }
 
         // Only the newest `retain_pages` healthy pages of this request
         // can survive the ring, so older ones are never cloned into it.
-        let healthy = observations.iter().filter(|p| p.error.is_none()).count();
         let mut unretained = healthy.saturating_sub(t.retain_pages);
         for page in observations {
-            if page.error.is_some() {
+            if page.error {
                 state.error_pages += 1;
             }
-            state.window.push_back((
-                page.is_empty(),
-                page.values,
-                page.chars,
-                page.error.is_some(),
-            ));
+            state
+                .window
+                .push_back((page.is_empty(), page.values, page.chars, page.error));
             while state.window.len() > t.window {
                 state.window.pop_front();
             }
             // Parse failures are not useful relearn material; healthy
             // and drifted pages both are.
-            if page.error.is_none() {
+            if !page.error {
                 if unretained > 0 {
                     unretained -= 1;
                 } else {
                     state
                         .retained
-                        .push_back((page.html.clone(), page.is_empty()));
+                        .push_back((page.html.to_string(), page.is_empty()));
                     while state.retained.len() > t.retain_pages {
                         state.retained.pop_front();
                     }
@@ -420,7 +471,7 @@ impl HealthTracker {
                 state.recovering = false;
                 let event = HealthEvent::Degraded {
                     site: site.to_string(),
-                    reason: reason.clone(),
+                    reason: reason.reason(),
                 };
                 drop(sites);
                 self.record(event);
@@ -476,6 +527,7 @@ impl HealthTracker {
         if let Some(state) = sites.get_mut(site) {
             state.window.clear();
             state.miss_window.clear();
+
             state.baseline = None;
             state.baseline_acc.clear();
             state.retained.clear();
@@ -696,7 +748,7 @@ mod tests {
                 })
                 .collect();
             for p in pages.iter().filter(|p| p.error.is_none()) {
-                model.push_back((p.html.clone(), p.is_empty()));
+                model.push_back((p.html.clone(), p.values == 0));
                 while model.len() > cap {
                     model.pop_front();
                 }
@@ -708,6 +760,51 @@ mod tests {
                 "ring after a {size}-page request"
             );
         }
+    }
+
+    #[test]
+    fn borrowed_views_leave_the_same_state_as_owned_observations() {
+        // Two sites, request sizes on both sides of the ring capacity
+        // (8 here), error pages, an all-empty round that degrades the
+        // sites and rounds after it that recover them.
+        let owned = HealthTracker::new(thresholds());
+        let borrowed = HealthTracker::new(thresholds());
+        let mut next = 0usize;
+        for (round, &size) in [3, 8, 9, 20, 6, 1, 12, 5, 9].iter().enumerate() {
+            for site in ["a", "b"] {
+                let pages: Vec<PageObservation> = (0..size)
+                    .map(|i| {
+                        next += 1;
+                        PageObservation {
+                            html: format!("<p>{site} {next}</p>"),
+                            values: if round == 4 { 0 } else { 1 + next % 3 },
+                            chars: 4 + next % 5,
+                            error: ((i + round) % 6 == 1).then(|| "parse error".to_string()),
+                        }
+                    })
+                    .collect();
+                let views = pages.iter().map(PageObservation::view);
+                let stats = Some((round as u64 * 3, round as u64 * 2));
+                assert_eq!(
+                    owned.observe(site, &pages, stats),
+                    borrowed.observe_views(site, views, stats),
+                    "degradation edge of round {round} on {site}"
+                );
+            }
+        }
+        assert_eq!(owned.all_health(), borrowed.all_health());
+        for site in ["a", "b"] {
+            assert!(!owned.retained_pages(site).is_empty());
+            assert_eq!(owned.retained_pages(site), borrowed.retained_pages(site));
+        }
+        let journal = owned.journal();
+        assert!(
+            journal
+                .iter()
+                .any(|e| matches!(e, HealthEvent::Degraded { .. })),
+            "the stream must degrade: {journal:?}"
+        );
+        assert_eq!(journal, borrowed.journal());
     }
 
     #[test]

@@ -37,7 +37,7 @@
 use crate::artifact::{CompiledWrapper, WrapperBundle};
 use crate::config::WrapperLanguage;
 use crate::error::AwError;
-use crate::health::{HealthThresholds, HealthTracker, PageObservation, SiteHealth};
+use crate::health::{HealthThresholds, HealthTracker, PageView, SiteHealth};
 use crate::latency::LatencyHistogram;
 use crate::relearn::RelearnController;
 use crate::store::BundleStore;
@@ -962,21 +962,23 @@ impl ExtractionService {
             })
             .collect();
         if self.health_enabled {
-            let observations: Vec<PageObservation> = request
-                .pages
-                .iter()
-                .zip(&pages)
-                .zip(&errors)
-                .map(|((html, values), error)| PageObservation {
-                    html: html.clone(),
-                    values: values.len(),
-                    chars: values.iter().map(String::len).sum(),
-                    error: error.clone(),
-                })
-                .collect();
-            let newly_degraded =
-                self.health
-                    .observe(&request.site, &observations, wrapper.template_cache_stats());
+            let observations =
+                request
+                    .pages
+                    .iter()
+                    .zip(&pages)
+                    .zip(&errors)
+                    .map(|((html, values), error)| PageView {
+                        html,
+                        values: values.len(),
+                        chars: values.iter().map(String::len).sum(),
+                        error: error.is_some(),
+                    });
+            let newly_degraded = self.health.observe_views(
+                &request.site,
+                observations,
+                wrapper.template_cache_stats(),
+            );
             if newly_degraded {
                 if let Some(relearn) = &self.relearn {
                     relearn.enqueue(&request.site);

@@ -47,9 +47,9 @@ impl Segment {
 /// Pre-order token stream of one page, with node identities.
 fn page_tokens(doc: &Document) -> Vec<(aw_dom::NodeId, String)> {
     doc.preorder_all()
-        .filter_map(|id| match &doc.node(id).kind {
-            NodeKind::Element(e) => Some((id, e.tag.clone())),
-            NodeKind::Text(_) => Some((id, TEXT_TOKEN.to_string())),
+        .filter_map(|id| match doc.kind(id) {
+            NodeKind::Element => doc.tag(id).map(|tag| (id, tag.to_string())),
+            NodeKind::Text => Some((id, TEXT_TOKEN.to_string())),
             _ => None,
         })
         .collect()

@@ -464,7 +464,7 @@ fn factor_trace(trace: &Trace, layout: &RecordLayout) -> FactoredTrace {
 /// memoizes materializations across replays.
 trait ResultSink {
     /// Deliver the result of path `path` as materialized `NodeId`s.
-    fn emit(&mut self, idx: &DocIndex, path: usize, ranks: &[u32]);
+    fn emit(&mut self, idx: DocIndex<'_>, path: usize, ranks: &[u32]);
 
     /// Like [`ResultSink::emit`], with a per-trace memo slot available
     /// (verbatim whole-page replays only, where the same ranks recur on
@@ -472,7 +472,7 @@ trait ResultSink {
     /// it; the default materializes fresh.
     fn emit_memo(
         &mut self,
-        idx: &DocIndex,
+        idx: DocIndex<'_>,
         path: usize,
         ranks: &[u32],
         memo: &OnceLock<Arc<Vec<NodeId>>>,
@@ -487,7 +487,7 @@ trait ResultSink {
 struct OwnedSink(Vec<Vec<NodeId>>);
 
 impl ResultSink for OwnedSink {
-    fn emit(&mut self, idx: &DocIndex, path: usize, ranks: &[u32]) {
+    fn emit(&mut self, idx: DocIndex<'_>, path: usize, ranks: &[u32]) {
         self.0[path] = materialize(idx, ranks);
     }
 }
@@ -500,13 +500,13 @@ impl ResultSink for OwnedSink {
 struct SharedSink(Vec<Arc<Vec<NodeId>>>);
 
 impl ResultSink for SharedSink {
-    fn emit(&mut self, idx: &DocIndex, path: usize, ranks: &[u32]) {
+    fn emit(&mut self, idx: DocIndex<'_>, path: usize, ranks: &[u32]) {
         self.0[path] = Arc::new(materialize(idx, ranks));
     }
 
     fn emit_memo(
         &mut self,
-        idx: &DocIndex,
+        idx: DocIndex<'_>,
         path: usize,
         ranks: &[u32],
         memo: &OnceLock<Arc<Vec<NodeId>>>,
@@ -731,7 +731,7 @@ impl BatchEvaluator {
     }
 
     /// The direct evaluation path (no trace involved).
-    fn evaluate_plain<S: ResultSink>(&self, doc: &Document, idx: &DocIndex, sink: &mut S) {
+    fn evaluate_plain<S: ResultSink>(&self, doc: &Document, idx: DocIndex<'_>, sink: &mut S) {
         let root_ctx: Vec<u32> = vec![idx.rank_of(doc.root())];
         for &t in &self.root.terminals {
             sink.emit(idx, t as usize, &root_ctx);
@@ -810,7 +810,7 @@ impl BatchEvaluator {
     fn evaluate_recording<S: ResultSink>(
         &self,
         doc: &Document,
-        idx: &DocIndex,
+        idx: DocIndex<'_>,
         sink: &mut S,
     ) -> Trace {
         let mut trace = Trace::empty(
@@ -876,7 +876,7 @@ impl BatchEvaluator {
     fn evaluate_replay<S: ResultSink>(
         &self,
         doc: &Document,
-        idx: &DocIndex,
+        idx: DocIndex<'_>,
         trace: &Trace,
         sink: &mut S,
     ) {
@@ -1016,7 +1016,7 @@ impl BatchEvaluator {
     fn evaluate_partial_replay<S: ResultSink>(
         &self,
         doc: &Document,
-        idx: &DocIndex,
+        idx: DocIndex<'_>,
         key: (u32, u64),
         layout: &RecordLayout,
         factored: &FactoredTrace,
@@ -1230,7 +1230,7 @@ impl BatchEvaluator {
     fn stitch_bare(
         &self,
         doc: &Document,
-        idx: &DocIndex,
+        idx: DocIndex<'_>,
         layout: &RecordLayout,
         factored: &FactoredTrace,
         node_i: u32,
@@ -1287,7 +1287,7 @@ impl BatchEvaluator {
 /// in which case the span's posting range answers directly.
 fn fresh_span(
     doc: &Document,
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     layout: &RecordLayout,
     node: &TrieNode,
     ctx: &[u32],

@@ -49,7 +49,7 @@ pub fn evaluate_compiled(path: &CompiledXPath, doc: &Document) -> Vec<NodeId> {
 /// sorted and the per-page sort is skipped. Template-cache replay
 /// materializes every cached set through here, making that its per-page
 /// fast path.
-pub(crate) fn materialize(idx: &DocIndex, ranks: &[u32]) -> Vec<NodeId> {
+pub(crate) fn materialize(idx: DocIndex<'_>, ranks: &[u32]) -> Vec<NodeId> {
     debug_assert!(
         ranks.windows(2).all(|w| w[0] < w[1]),
         "materialize expects an ascending rank set"
@@ -75,7 +75,7 @@ pub(crate) enum ResolvedPred {
 /// `None` means some attribute predicate's value occurs nowhere in the
 /// document — the step can't select anything.
 pub(crate) fn resolve_preds(
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     predicates: &[CompiledPred],
 ) -> Option<Vec<ResolvedPred>> {
     predicates
@@ -93,7 +93,7 @@ pub(crate) fn resolve_preds(
 /// returning the same representation.
 pub(crate) fn apply_step(
     doc: &Document,
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     context: &[u32],
     step: &CompiledStep,
 ) -> Vec<u32> {
@@ -108,7 +108,7 @@ pub(crate) fn apply_step(
 /// path for single steps and single-variant trie nodes.
 pub(crate) fn apply_step_with(
     doc: &Document,
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     context: &[u32],
     axis: crate::ast::Axis,
     test: &CompiledTest,
@@ -123,7 +123,7 @@ pub(crate) fn apply_step_with(
 /// part that predicate variants of a batch-trie node fan out from.
 pub(crate) fn apply_step_bare(
     doc: &Document,
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     context: &[u32],
     axis: crate::ast::Axis,
     test: &CompiledTest,
@@ -134,7 +134,7 @@ pub(crate) fn apply_step_bare(
 /// Keeps the ranks whose nodes pass every resolved predicate (the
 /// integer-only fan-out check applied per trie variant).
 pub(crate) fn filter_resolved(
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     test: &CompiledTest,
     preds: &[ResolvedPred],
     ranks: &[u32],
@@ -150,7 +150,7 @@ pub(crate) fn filter_resolved(
 /// inlined) and [`apply_step_bare`] (`keep` ≡ true, monomorphized away).
 fn step_nodes(
     doc: &Document,
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     context: &[u32],
     axis: crate::ast::Axis,
     test: &CompiledTest,
@@ -202,7 +202,7 @@ fn step_nodes(
     out
 }
 
-pub(crate) fn postings_for<'i>(idx: &'i DocIndex, test: &CompiledTest) -> &'i [u32] {
+pub(crate) fn postings_for<'i>(idx: DocIndex<'i>, test: &CompiledTest) -> &'i [u32] {
     match test {
         CompiledTest::Tag(sym) => idx.tag_postings(*sym),
         CompiledTest::AnyElement => idx.element_postings(),
@@ -210,7 +210,7 @@ pub(crate) fn postings_for<'i>(idx: &'i DocIndex, test: &CompiledTest) -> &'i [u
     }
 }
 
-fn matches_test(doc: &Document, idx: &DocIndex, id: NodeId, test: &CompiledTest) -> bool {
+fn matches_test(doc: &Document, idx: DocIndex<'_>, id: NodeId, test: &CompiledTest) -> bool {
     match *test {
         CompiledTest::Tag(sym) => idx.tag_sym(id) == Some(sym),
         CompiledTest::AnyElement => doc.is_element(id),
@@ -219,7 +219,7 @@ fn matches_test(doc: &Document, idx: &DocIndex, id: NodeId, test: &CompiledTest)
 }
 
 fn passes_resolved(
-    idx: &DocIndex,
+    idx: DocIndex<'_>,
     id: NodeId,
     test: &CompiledTest,
     preds: &[ResolvedPred],

@@ -51,8 +51,7 @@ proptest! {
         let _tokens = tokenize(&input);
         let doc = parse(&input);
         for id in doc.ids() {
-            let node = doc.node(id);
-            if let Some(parent) = node.parent {
+            if let Some(parent) = doc.parent(id) {
                 prop_assert!(doc.children(parent).contains(&id));
             } else {
                 prop_assert_eq!(id, NodeId::ROOT);
@@ -61,7 +60,8 @@ proptest! {
                 prop_assert_eq!(doc.parent(c), Some(id));
             }
             // Text nodes are non-empty and whitespace-collapsed.
-            if let NodeKind::Text(t) = &node.kind {
+            if let Some(t) = doc.text(id) {
+                prop_assert_eq!(doc.kind(id), NodeKind::Text);
                 prop_assert!(!t.is_empty());
                 prop_assert!(!t.contains('\n'));
                 prop_assert!(!t.starts_with(' ') && !t.ends_with(' '));
@@ -151,10 +151,8 @@ proptest! {
             if let Some(sym) = si.tag_sym(id) {
                 prop_assert_eq!(si.tag_postings(sym), oi.tag_postings(sym));
             }
-            if let Some(el) = streamed.element(id) {
-                for (_, value) in &el.attrs {
-                    prop_assert_eq!(si.attr_value_id(value), oi.attr_value_id(value));
-                }
+            for (_, value) in streamed.attributes(id) {
+                prop_assert_eq!(si.attr_value_id(value), oi.attr_value_id(value));
             }
         }
         prop_assert_eq!(si.template_fingerprint(), oi.template_fingerprint());
