@@ -48,7 +48,7 @@ impl<T: Ord + Copy + Debug> EnumerationResult<T> {
     }
 
     /// The candidate set as parsed xpaths, for shared-prefix batch
-    /// evaluation (`aw_xpath::BatchEvaluator`, `aw_rank::score_xpath_space`).
+    /// evaluation (`aw_xpath::BatchEvaluator`, `aw_rank::score_xpath_spaces`).
     ///
     /// Each entry pairs the wrapper's index in [`Self::wrappers`] with its
     /// rule parsed back from display form. Wrappers whose rules are not in
@@ -248,18 +248,7 @@ mod tests {
         }
         for ((wrapper_idx, xp), replay) in candidates.iter().zip(&replayed) {
             let wrapper = &space.wrappers[*wrapper_idx];
-            // The rendered xpath is documented to be slightly more general
-            // than the feature semantics only when a wildcard step
-            // appears; these clean candidates have none.
-            if xp
-                .steps
-                .iter()
-                .all(|s| s.test != aw_xpath::NodeTest::AnyElement)
-            {
-                assert_eq!(replay, &wrapper.extraction, "replay mismatch for {xp}");
-            } else {
-                assert!(wrapper.extraction.is_subset(replay), "{xp}");
-            }
+            assert_eq!(replay, &wrapper.extraction, "replay mismatch for {xp}");
         }
     }
 }

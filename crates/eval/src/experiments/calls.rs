@@ -15,7 +15,9 @@ pub struct CallsRow {
     pub site: usize,
     /// Number of (possibly subsampled) labels.
     pub labels: usize,
-    /// TopDown calls (Theorem 3: exactly k).
+    /// TopDown calls (Theorem 3: exactly k when distinct closed sets
+    /// induce distinct wrappers; XPATH can exceed k, because subsets that
+    /// differ only in a child number without its tag share one wrapper).
     pub top_down: usize,
     /// BottomUp calls (Theorem 2: ≤ k·|L|).
     pub bottom_up: usize,

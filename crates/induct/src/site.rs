@@ -138,6 +138,23 @@ mod tests {
     }
 
     #[test]
+    fn deep_pages_build_a_site_on_a_default_stack_thread() {
+        // Relearn builds sites from retained request pages, so one page
+        // nested 200 000 levels deep must not overflow a spawned thread's
+        // default stack.
+        let depth = 200_000;
+        let html = format!("{}x{}", "<div>".repeat(depth), "</div>".repeat(depth));
+        let serialized = std::thread::spawn(move || {
+            let site = Site::from_html(&[html.as_str()]);
+            assert_eq!(aw_dom::serialize(site.page(0)), html);
+            site.serialized(0).html == html && site.text_nodes().len() == 1
+        })
+        .join()
+        .expect("site thread");
+        assert!(serialized);
+    }
+
+    #[test]
     fn serialized_spans_align_with_documents() {
         let site = two_page_site();
         for p in 0..site.page_count() as u32 {

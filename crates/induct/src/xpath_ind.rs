@@ -110,21 +110,34 @@ impl<'a> XPathInductor<'a> {
             .map(|i| &self.features[i as usize])
     }
 
-    /// The intersected (required) feature set for a label set.
+    /// The required feature set for a label set: the labels' common
+    /// features, minus every child number whose position keeps no tag.
+    ///
+    /// A child number is a same-tag sibling position, so without its tag
+    /// it has no xpath form (`*[k]` counts all element siblings). Dropping
+    /// it keeps the hypothesis language exactly the renderable xpaths, and
+    /// φ stays a closure operator: if `ChildNum(p)` survives for a label
+    /// set, so does `Tag(p)` for every subset of it.
     pub fn required_features(&self, labels: &ItemSet<PageNode>) -> FeatureMap<XAttr, String> {
         let maps: Vec<&FeatureMap<XAttr, String>> = labels
             .iter()
             .filter_map(|&l| self.feature_map_of(l))
             .collect();
-        intersect_features(&maps)
+        let mut req = intersect_features(&maps);
+        let tagged: Vec<u16> = req
+            .keys()
+            .filter_map(|a| match a {
+                XAttr::Tag(p) => Some(*p),
+                _ => None,
+            })
+            .collect();
+        req.retain(|a, _| !matches!(a, XAttr::ChildNum(p) if !tagged.contains(p)));
+        req
     }
 
-    /// Renders the learned rule as an [`XPath`] of the fragment.
-    ///
-    /// Display-only caveat: a child-number feature whose position has no
-    /// tag feature is dropped from the rendering (a `*[k]` step would read
-    /// differently), so in that corner case the rendered xpath is slightly
-    /// more general than the feature-set semantics used for extraction.
+    /// Renders the learned rule as an [`XPath`] of the fragment. It
+    /// selects exactly [`WrapperInductor::extract`] of the same labels on
+    /// every page of the site.
     pub fn xpath(&self, labels: &ItemSet<PageNode>) -> XPath {
         let req = self.required_features(labels);
         let max_pos = req.keys().map(XAttr::position).max().unwrap_or(0);
@@ -142,11 +155,9 @@ impl<'a> XPathInductor<'a> {
                 None => NodeTest::AnyElement,
             };
             let mut predicates = Vec::new();
-            if tag.is_some() {
-                if let Some(k) = req.get(&XAttr::ChildNum(pos)) {
-                    if let Ok(k) = k.parse() {
-                        predicates.push(Predicate::Position(k));
-                    }
+            if let Some(k) = req.get(&XAttr::ChildNum(pos)) {
+                if let Ok(k) = k.parse() {
+                    predicates.push(Predicate::Position(k));
                 }
             }
             for (attr, value) in req.iter() {
@@ -299,14 +310,23 @@ mod tests {
             ],
         );
         let out = ind.extract(&labels);
-        // The <u> constraint is lost: the wrapper now also pulls the
-        // addresses of row-1 listings (the surviving child-number features
-        // keep row-2 addresses of page 0 out, but PORTER's full address and
-        // everything on single-row pages leaks in). 4 nodes on page 0
-        // (PORTER + its 2 address lines + WOODLAND) and all 3 on page 1.
-        assert_eq!(out.len(), 7);
+        // The <u> constraint is lost. The name and the address agree on no
+        // tag at any ancestor position, and a child number without its tag
+        // has no xpath form, so the wrapper is `//text()`: every text node
+        // of both pages (7 on page 0, 4 on page 1), exactly what the
+        // deployed rule extracts.
         let rule = ind.rule(&labels);
         assert!(!rule.contains("u["), "the <u> step must be dropped: {rule}");
+        let xp = ind.xpath(&labels);
+        let deployed: ItemSet<PageNode> = (0..site.page_count() as u32)
+            .flat_map(|p| {
+                evaluate(&xp, site.page(p))
+                    .into_iter()
+                    .map(move |id| PageNode::new(p, id))
+            })
+            .collect();
+        assert_eq!(out, deployed, "{rule}");
+        assert_eq!(out.len(), 11);
     }
 
     #[test]

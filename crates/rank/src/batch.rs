@@ -1,83 +1,20 @@
-//! Batch scoring of xpath candidate sets.
+//! Site-sharded batch scoring of xpath candidate sets.
 //!
 //! Ranking a wrapper space means computing each candidate's extraction
-//! over every page of the site, then scoring it (Equation 1). When the
-//! candidates are xpaths of the fragment — the `W(L)` that `aw-enum`
-//! produces for the XPATH language — their extractions share step
-//! prefixes, so this module evaluates the whole set through one
-//! [`BatchEvaluator`] per site instead of `|W|` independent evaluations
-//! per page.
+//! over every page of the site, then scoring it (Equation 1).
+//! `aw_core::Engine` ranks the extractions enumeration already produced,
+//! which for XPATH are exactly what the rendered xpaths select, so it
+//! needs no second pass. [`score_xpath_spaces`] is that second pass made
+//! cheap: it re-evaluates many sites' rendered candidates through one
+//! prefix trie per site ([`ShardedBatch`]), page-parallel and
+//! template-cached, and scores them. It is kept as the reference that
+//! deployed extractions are checked against.
 
 use crate::scorer::{RankingModel, WrapperScore};
 use aw_dom::{Document, PageNode};
 use aw_induct::{NodeSet, Site};
 use aw_pool::Executor;
-use aw_xpath::{BatchEvaluator, CompiledXPath, ShardedBatch, XPath};
-
-/// The extraction of every candidate xpath over every page of `site`.
-///
-/// Result is aligned with `paths`; each `NodeSet` is the union over
-/// pages, in the same form the inductors produce (so scores computed on
-/// it are directly comparable to inductor-produced wrappers).
-pub fn batch_extractions(site: &Site, paths: &[XPath]) -> Vec<NodeSet> {
-    let batch = BatchEvaluator::from_xpaths(paths.iter());
-    let mut out: Vec<NodeSet> = vec![NodeSet::new(); paths.len()];
-    for p in 0..site.page_count() as u32 {
-        for (i, nodes) in batch.evaluate(site.page(p)).into_iter().enumerate() {
-            out[i].extend(nodes.into_iter().map(|id| PageNode::new(p, id)));
-        }
-    }
-    out
-}
-
-/// The extraction of every site's candidate space over **that site's
-/// own pages**, site-sharded and page-parallel.
-///
-/// One trie per site (prefix sharing is strongest within a site's
-/// space); all `(site, page)` pairs are driven through the shared
-/// work-stealing `exec`, so the output is deterministic regardless of
-/// thread count and the call nests cleanly inside site-parallel loops
-/// on the same executor. With `cache` on, each shard keeps a cross-page
-/// [`aw_xpath::TemplateCache`], replaying bare traversals across pages
-/// that share a template fingerprint (results are byte-identical either
-/// way). `out[s]` is aligned with `spaces[s].1`, each `NodeSet` the
-/// union over site `s`'s pages — exactly [`batch_extractions`] of that
-/// site alone.
-pub fn sharded_extractions(
-    spaces: &[(&Site, &[XPath])],
-    exec: &Executor,
-    cache: bool,
-) -> Vec<Vec<NodeSet>> {
-    // Global slots are site-major: site s's paths occupy
-    // offsets[s] .. offsets[s] + paths_s.
-    let mut offsets = Vec::with_capacity(spaces.len());
-    let mut tagged: Vec<(usize, CompiledXPath)> = Vec::new();
-    for (s, (_, paths)) in spaces.iter().enumerate() {
-        offsets.push(tagged.len());
-        tagged.extend(paths.iter().map(|p| (s, CompiledXPath::compile(p))));
-    }
-    let batch = ShardedBatch::new(tagged).with_cache(cache);
-
-    let pages: Vec<(usize, u32, &Document)> = spaces
-        .iter()
-        .enumerate()
-        .flat_map(|(s, (site, _))| (0..site.page_count() as u32).map(move |p| (s, p, site.page(p))))
-        .collect();
-    let per_page = exec.map(&pages, |&(key, _, doc)| batch.evaluate_page(key, doc));
-
-    let mut out: Vec<Vec<NodeSet>> = spaces
-        .iter()
-        .map(|(_, paths)| vec![NodeSet::new(); paths.len()])
-        .collect();
-    for (&(s, p, _), results) in pages.iter().zip(per_page) {
-        for (slot, nodes) in results {
-            // A page's results only name its own shard's slots.
-            let local = slot as usize - offsets[s];
-            out[s][local].extend(nodes.into_iter().map(|id| PageNode::new(p, id)));
-        }
-    }
-    out
-}
+use aw_xpath::{CompiledXPath, ShardedBatch, XPath};
 
 /// One site's candidate space for multi-site sharded scoring.
 #[derive(Clone, Copy)]
@@ -93,16 +30,47 @@ pub struct SiteSpace<'a> {
 /// Scores many sites' candidate spaces in one site-sharded,
 /// page-parallel pass: per-site tries for extraction (template-cached
 /// when `cache` is on), then Equation 1 per candidate (also through the
-/// executor). `out[s]` is aligned with `spaces[s].paths` and identical
-/// to [`score_xpath_space`] run on site `s` alone.
+/// executor). `out[s]` is aligned with `spaces[s].paths`: each entry is
+/// the candidate's union over site `s`'s pages and
+/// [`RankingModel::score`] of it. Output is deterministic at every
+/// thread count and nests inside site-parallel loops on the same
+/// executor.
 pub fn score_xpath_spaces(
     model: &RankingModel,
     spaces: &[SiteSpace<'_>],
     exec: &Executor,
     cache: bool,
 ) -> Vec<Vec<(NodeSet, WrapperScore)>> {
-    let groups: Vec<(&Site, &[XPath])> = spaces.iter().map(|s| (s.site, s.paths)).collect();
-    let extractions = sharded_extractions(&groups, exec, cache);
+    // Global slots are site-major: site s's paths occupy
+    // offsets[s] .. offsets[s] + paths_s.
+    let mut offsets = Vec::with_capacity(spaces.len());
+    let mut tagged: Vec<(usize, CompiledXPath)> = Vec::new();
+    for (s, space) in spaces.iter().enumerate() {
+        offsets.push(tagged.len());
+        tagged.extend(space.paths.iter().map(|p| (s, CompiledXPath::compile(p))));
+    }
+    let batch = ShardedBatch::new(tagged).with_cache(cache);
+
+    let pages: Vec<(usize, u32, &Document)> = spaces
+        .iter()
+        .enumerate()
+        .flat_map(|(s, space)| {
+            (0..space.site.page_count() as u32).map(move |p| (s, p, space.site.page(p)))
+        })
+        .collect();
+    let per_page = exec.map(&pages, |&(key, _, doc)| batch.evaluate_page(key, doc));
+
+    let mut extractions: Vec<Vec<NodeSet>> = spaces
+        .iter()
+        .map(|space| vec![NodeSet::new(); space.paths.len()])
+        .collect();
+    for (&(s, p, _), results) in pages.iter().zip(per_page) {
+        for (slot, nodes) in results {
+            // A page's results only name its own shard's slots.
+            let local = slot as usize - offsets[s];
+            extractions[s][local].extend(nodes.into_iter().map(|id| PageNode::new(p, id)));
+        }
+    }
 
     // Score site-major through the executor as well (Equation 1 walks
     // every extracted node; for big spaces it rivals extraction cost).
@@ -120,48 +88,6 @@ pub fn score_xpath_spaces(
         out[s].push((x, score));
     }
     out
-}
-
-/// Scores every candidate xpath of a wrapper space in one pass:
-/// shared-prefix batch evaluation over the site's pages, then Equation 1
-/// per candidate. Returns `(extraction, score)` aligned with `paths`.
-pub fn score_xpath_space(
-    model: &RankingModel,
-    site: &Site,
-    labels: &NodeSet,
-    paths: &[XPath],
-) -> Vec<(NodeSet, WrapperScore)> {
-    batch_extractions(site, paths)
-        .into_iter()
-        .map(|x| {
-            let score = model.score(site, labels, &x);
-            (x, score)
-        })
-        .collect()
-}
-
-/// Ranks candidate xpaths best-first (deterministic tie-break on input
-/// order), analogous to [`RankingModel::rank`] but driven by the batch
-/// engine.
-pub fn rank_xpath_space(
-    model: &RankingModel,
-    site: &Site,
-    labels: &NodeSet,
-    paths: &[XPath],
-) -> Vec<(usize, NodeSet, WrapperScore)> {
-    let mut scored: Vec<(usize, NodeSet, WrapperScore)> =
-        score_xpath_space(model, site, labels, paths)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (x, s))| (i, x, s))
-            .collect();
-    scored.sort_by(|a, b| {
-        b.2.total
-            .partial_cmp(&a.2.total)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    scored
 }
 
 #[cfg(test)]
@@ -211,55 +137,77 @@ mod tests {
         .collect()
     }
 
-    #[test]
-    fn batch_extractions_match_per_path_evaluation() {
-        let site = dealer_site();
-        let paths = space();
-        let batched = batch_extractions(&site, &paths);
-        for (path, got) in paths.iter().zip(&batched) {
-            let solo: NodeSet = (0..site.page_count() as u32)
-                .flat_map(|p| {
-                    aw_xpath::reference::evaluate(path, site.page(p))
-                        .into_iter()
-                        .map(move |id| PageNode::new(p, id))
-                })
-                .collect();
-            assert_eq!(got, &solo, "mismatch for {path}");
+    fn dealer_labels(site: &Site) -> NodeSet {
+        ["ALPHA FURNITURE", "BETA HOME", "GAMMA DECOR"]
+            .iter()
+            .flat_map(|t| site.find_text(t))
+            .collect()
+    }
+
+    /// The reference interpreter's extraction of `path` over the site.
+    fn reference(site: &Site, path: &XPath) -> NodeSet {
+        (0..site.page_count() as u32)
+            .flat_map(|p| {
+                aw_xpath::reference::evaluate(path, site.page(p))
+                    .into_iter()
+                    .map(move |id| PageNode::new(p, id))
+            })
+            .collect()
+    }
+
+    /// Asserts `scored` is the reference extraction of every path and its
+    /// bit-identical [`RankingModel::score`].
+    fn assert_matches_reference(
+        m: &RankingModel,
+        space: &SiteSpace<'_>,
+        scored: &[(NodeSet, WrapperScore)],
+        ctx: &str,
+    ) {
+        assert_eq!(scored.len(), space.paths.len(), "{ctx}");
+        for (path, (x, score)) in space.paths.iter().zip(scored) {
+            let want = reference(space.site, path);
+            assert_eq!(x, &want, "{ctx}: {path}");
+            let direct = m.score(space.site, space.labels, &want);
+            assert_eq!(
+                score.total.to_bits(),
+                direct.total.to_bits(),
+                "{ctx}: {path}"
+            );
+            assert_eq!(score.annotation.to_bits(), direct.annotation.to_bits());
+            assert_eq!(score.publication.to_bits(), direct.publication.to_bits());
         }
     }
 
     #[test]
-    fn batch_ranking_agrees_with_direct_scorer() {
+    fn single_site_scoring_matches_reference_evaluation_and_direct_scorer() {
         let site = dealer_site();
         let paths = space();
-        // Labels: the three names (clean annotator).
-        let labels: NodeSet = ["ALPHA FURNITURE", "BETA HOME", "GAMMA DECOR"]
-            .iter()
-            .flat_map(|t| site.find_text(t))
-            .collect();
+        let labels = dealer_labels(&site);
         let m = model();
-        // Scores are identical to the per-candidate scorer path...
-        let scored = score_xpath_space(&m, &site, &labels, &paths);
-        for (x, s) in &scored {
-            let direct = m.score(&site, &labels, x);
-            assert!((s.total - direct.total).abs() < 1e-12);
-        }
-        // ...and the batch ranking equals `RankingModel::rank` over the
-        // same extractions.
-        let extractions: Vec<NodeSet> = scored.iter().map(|(x, _)| x.clone()).collect();
-        let direct_rank = m.rank(&site, &labels, extractions.iter());
-        let batch_rank = rank_xpath_space(&m, &site, &labels, &paths);
-        assert_eq!(
-            direct_rank.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            batch_rank.iter().map(|(i, _, _)| *i).collect::<Vec<_>>()
-        );
+        let space = SiteSpace {
+            site: &site,
+            labels: &labels,
+            paths: &paths,
+        };
+        let scored = score_xpath_spaces(&m, &[space], &Executor::new(1), false);
+        assert_eq!(scored.len(), 1);
+        assert_matches_reference(&m, &space, &scored[0], "single site");
     }
 
     #[test]
     fn empty_space_is_fine() {
         let site = dealer_site();
-        assert!(batch_extractions(&site, &[]).is_empty());
-        assert!(rank_xpath_space(&model(), &site, &NodeSet::new(), &[]).is_empty());
+        let m = model();
+        let exec = Executor::new(1);
+        assert!(score_xpath_spaces(&m, &[], &exec, true).is_empty());
+        let empty = SiteSpace {
+            site: &site,
+            labels: &NodeSet::new(),
+            paths: &[],
+        };
+        let scored = score_xpath_spaces(&m, &[empty], &exec, true);
+        assert_eq!(scored.len(), 1);
+        assert!(scored[0].is_empty());
     }
 
     fn stores_site() -> Site {
@@ -282,70 +230,37 @@ mod tests {
     }
 
     #[test]
-    fn sharded_extractions_match_per_site_batch() {
+    fn sharded_scoring_matches_reference_at_every_thread_count_and_cache_setting() {
         let a = dealer_site();
         let b = stores_site();
         let pa = space();
         let pb = stores_space();
-        for threads in [1, 2, 4] {
-            let exec = Executor::new(threads);
-            for cache in [false, true] {
-                let sharded =
-                    sharded_extractions(&[(&a, pa.as_slice()), (&b, pb.as_slice())], &exec, cache);
-                assert_eq!(sharded.len(), 2);
-                assert_eq!(
-                    sharded[0],
-                    batch_extractions(&a, &pa),
-                    "threads {threads}, cache {cache}"
-                );
-                assert_eq!(
-                    sharded[1],
-                    batch_extractions(&b, &pb),
-                    "threads {threads}, cache {cache}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_scoring_matches_single_site_scoring() {
-        let a = dealer_site();
-        let b = stores_site();
-        let pa = space();
-        let pb = stores_space();
-        let labels_a: NodeSet = ["ALPHA FURNITURE", "BETA HOME", "GAMMA DECOR"]
-            .iter()
-            .flat_map(|t| a.find_text(t))
-            .collect();
+        let labels_a = dealer_labels(&a);
         let labels_b: NodeSet = ["OMEGA", "SIGMA", "KAPPA"]
             .iter()
             .flat_map(|t| b.find_text(t))
             .collect();
         let m = model();
-        let sharded = score_xpath_spaces(
-            &m,
-            &[
-                SiteSpace {
-                    site: &a,
-                    labels: &labels_a,
-                    paths: &pa,
-                },
-                SiteSpace {
-                    site: &b,
-                    labels: &labels_b,
-                    paths: &pb,
-                },
-            ],
-            &Executor::new(3),
-            true,
-        );
-        let solo_a = score_xpath_space(&m, &a, &labels_a, &pa);
-        let solo_b = score_xpath_space(&m, &b, &labels_b, &pb);
-        for (got, want) in [(&sharded[0], &solo_a), (&sharded[1], &solo_b)] {
-            assert_eq!(got.len(), want.len());
-            for ((gx, gs), (wx, ws)) in got.iter().zip(want.iter()) {
-                assert_eq!(gx, wx);
-                assert!((gs.total - ws.total).abs() < 1e-12);
+        let spaces = [
+            SiteSpace {
+                site: &a,
+                labels: &labels_a,
+                paths: &pa,
+            },
+            SiteSpace {
+                site: &b,
+                labels: &labels_b,
+                paths: &pb,
+            },
+        ];
+        for threads in [1, 2, 4] {
+            for cache in [false, true] {
+                let scored = score_xpath_spaces(&m, &spaces, &Executor::new(threads), cache);
+                assert_eq!(scored.len(), 2);
+                for (space, site_scored) in spaces.iter().zip(&scored) {
+                    let ctx = format!("threads {threads}, cache {cache}");
+                    assert_matches_reference(&m, space, site_scored, &ctx);
+                }
             }
         }
     }

@@ -11,11 +11,11 @@
 //! * [`scorer`] — the combined model plus the NTW-L / NTW-X ablation
 //!   variants of §7.3.
 //!
-//! Applications normally reach this crate through `aw_core::Engine`
-//! (`engine.rank`, `engine.learn_sites`); the batch entry points here
-//! ([`score_xpath_space`], [`score_xpath_spaces`],
-//! [`sharded_extractions`]) are the engine's substrate and remain public
-//! for custom pipelines.
+//! Applications reach this crate through `aw_core::Engine`
+//! (`engine.rank`, `engine.learn_sites`), which scores the extractions
+//! enumeration produced with [`RankingModel::score`]. [`batch`] keeps
+//! [`score_xpath_spaces`], a site-sharded re-evaluation of rendered xpath
+//! candidates, as the reference those extractions are checked against.
 
 pub mod annotation;
 pub mod batch;
@@ -24,10 +24,7 @@ pub mod scorer;
 pub mod segmentation;
 
 pub use annotation::{estimate_from_counts, AnnotatorModel};
-pub use batch::{
-    batch_extractions, rank_xpath_space, score_xpath_space, score_xpath_spaces,
-    sharded_extractions, SiteSpace,
-};
+pub use batch::{score_xpath_spaces, SiteSpace};
 pub use publication::{
     list_features, list_features_pinned, KernelOverride, ListFeatures, PublicationModel,
 };

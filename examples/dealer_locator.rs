@@ -60,15 +60,16 @@ fn main() {
         }
     }
 
-    // Batch learning: every test site's space ranked in one site-sharded,
-    // page-parallel pass (`Engine::learn_sites_labeled`).
+    // Batch learning: every test site learned exactly as `engine.learn`
+    // would, site-parallel on the engine's executor
+    // (`Engine::learn_sites_labeled`).
     let site_labels: Vec<NodeSet> = test.iter().map(|gs| labels_of(gs)).collect();
     let labeled: Vec<(&Site, &NodeSet)> =
         test.iter().map(|gs| &gs.site).zip(&site_labels).collect();
     let batch = engine.learn_sites_labeled(&labeled).expect("batch learn");
     let learned = batch.iter().filter(|r| !r.is_empty()).count();
     println!(
-        "\nbatch-learned wrappers for {learned}/{} test sites in one sharded pass",
+        "\nbatch-learned wrappers for {learned}/{} test sites",
         test.len()
     );
 

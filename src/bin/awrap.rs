@@ -13,9 +13,9 @@
 //!     as the automatic annotator. Prints the ranked rules and the best
 //!     wrapper's extraction; with --out, writes the best wrapper as a
 //!     portable serialized artifact. With --bundle, every subdirectory
-//!     of DIR is one site (key = its name): all sites learn in one
-//!     batched `learn_sites` pass and the best wrappers are written as
-//!     one v2 wrapper bundle.
+//!     of DIR is one site (key = its name): all sites learn through
+//!     `learn_sites`, site-parallel, and the best wrappers are written
+//!     as one v2 wrapper bundle.
 //!
 //! awrap apply --wrapper FILE --pages DIR [--site KEY]
 //!     Load a wrapper artifact of any generation (v1 single wrapper,
@@ -339,9 +339,9 @@ fn learn_cmd(args: &[String]) -> Result<(), String> {
 
 /// The multi-site learn path behind `learn --bundle`: every
 /// subdirectory of `dir` with HTML pages is one site (key = its name;
-/// `dir` itself when it has no such subdirectories), all sites learn in
-/// one batched `learn_sites` pass, and the best wrappers ship as one v2
-/// bundle.
+/// `dir` itself when it has no such subdirectories), all sites learn
+/// through `learn_sites` (each exactly as `learn` would, site-parallel),
+/// and the best wrappers ship as one v2 bundle.
 fn learn_bundle(engine: &Engine, dir: &str, bundle_path: &str) -> Result<(), String> {
     let mut subdirs: Vec<(String, std::path::PathBuf)> = std::fs::read_dir(Path::new(dir))
         .map_err(|e| format!("cannot read {dir}: {e}"))?
@@ -379,11 +379,7 @@ fn learn_bundle(engine: &Engine, dir: &str, bundle_path: &str) -> Result<(), Str
         sites.push(Site::from_html(&read_pages(dir)?));
     }
 
-    println!(
-        "learning {} site(s) in one batched pass: {}",
-        sites.len(),
-        keys.join(", ")
-    );
+    println!("learning {} site(s): {}", sites.len(), keys.join(", "));
 
     let ranked = engine.learn_sites(&sites).map_err(|e| e.to_string())?;
     let mut bundle = WrapperBundle::new();

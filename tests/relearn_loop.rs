@@ -18,7 +18,7 @@
 
 use autowrappers::prelude::*;
 use aw_sitegen::{epoch_html, EvolutionDataset, TemplateEvolution};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn publication_model() -> PublicationModel {
@@ -320,11 +320,12 @@ fn responses_are_never_torn_while_the_relearn_swaps() {
     assert!(controller.enqueue("churn"));
 
     let stop = AtomicBool::new(false);
+    let progress = AtomicU64::new(0);
     std::thread::scope(|scope| {
         let mut checkers = Vec::new();
         for _ in 0..4 {
             let service = Arc::clone(&service);
-            let (stop, old_rule, breaking) = (&stop, &old_rule, &breaking);
+            let (stop, progress, old_rule, breaking) = (&stop, &progress, &old_rule, &breaking);
             checkers.push(scope.spawn(move || {
                 let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -338,13 +339,18 @@ fn responses_are_never_torn_while_the_relearn_swaps() {
                         assert!(!empty, "new rule must pair with new extraction");
                     }
                     served += 1;
+                    progress.fetch_add(1, Ordering::Relaxed);
                 }
                 served
             }));
         }
         assert_eq!(controller.run_pending().swapped, 1);
-        // Let the hammers observe the post-swap world before stopping.
-        for _ in 0..16 {
+        // Let the hammers observe the post-swap world before stopping: a
+        // fast relearn can finish before any checker has been scheduled.
+        let at_swap = progress.load(Ordering::Relaxed);
+        while progress.load(Ordering::Relaxed) <= at_swap
+            && !checkers.iter().all(|c| c.is_finished())
+        {
             std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);

@@ -22,9 +22,9 @@ fn eval_on_site(xp: &XPath, site: &aw_induct::Site) -> NodeSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On dealer sites, for any subset of annotator labels whose required
-    /// feature set keeps a tag at every position (no wildcard steps), the
-    /// rendered xpath evaluates to exactly the feature-based extraction.
+    /// On dealer sites, for any subset of annotator labels, the rendered
+    /// xpath evaluates to exactly the feature-based extraction, wildcard
+    /// steps included.
     #[test]
     fn rendered_xpath_equals_extraction(seed in 0u64..300, mask in 1u32..255) {
         let ds = generate_dealers(&DealersConfig {
@@ -46,11 +46,6 @@ proptest! {
 
         let ind = XPathInductor::new(site);
         let xp = ind.xpath(&labels);
-        // Wildcard steps arise when tags diverge but child numbers agree;
-        // there the rendering is documented to be more general.
-        let has_wildcard = xp.steps.iter().any(|s| s.test == NodeTest::AnyElement);
-        prop_assume!(!has_wildcard);
-
         prop_assert_eq!(eval_on_site(&xp, site), ind.extract(&labels), "{}", xp);
     }
 
@@ -66,7 +61,6 @@ proptest! {
 
         let ind = XPathInductor::new(site);
         let xp = ind.xpath(&labels);
-        prop_assume!(!xp.steps.iter().any(|s| s.test == NodeTest::AnyElement));
         prop_assert_eq!(eval_on_site(&xp, site), ind.extract(&labels), "{}", xp);
     }
 
