@@ -22,15 +22,25 @@ pub enum Scale {
 
 /// Reads the scale from the environment.
 pub fn scale() -> Scale {
-    match std::env::var("AW_SCALE").as_deref() {
-        Ok("quick") => Scale::Quick,
+    parse_scale(std::env::var("AW_SCALE").ok().as_deref())
+}
+
+/// The scale an `AW_SCALE` value selects: `quick` is [`Scale::Quick`],
+/// anything else (or no value) is [`Scale::Full`].
+fn parse_scale(value: Option<&str>) -> Scale {
+    match value {
+        Some("quick") => Scale::Quick,
         _ => Scale::Full,
     }
 }
 
 /// The DEALERS dataset at the current scale, with its dictionary annotator.
 pub fn dealers() -> (DealersDataset, DictionaryAnnotator) {
-    let cfg = match scale() {
+    dealers_at(scale())
+}
+
+fn dealers_at(scale: Scale) -> (DealersDataset, DictionaryAnnotator) {
+    let cfg = match scale {
         Scale::Full => DealersConfig::default(),
         Scale::Quick => DealersConfig::small(24, 0xDEA1),
     };
@@ -42,7 +52,11 @@ pub fn dealers() -> (DealersDataset, DictionaryAnnotator) {
 /// A reduced DEALERS dataset for the quadratic-cost experiments
 /// (Table 1's 30-cell grid re-learns models per cell).
 pub fn dealers_for_grid() -> DealersDataset {
-    let cfg = match scale() {
+    dealers_for_grid_at(scale())
+}
+
+fn dealers_for_grid_at(scale: Scale) -> DealersDataset {
+    let cfg = match scale {
         // §7.4 annotates 25 webpages per site; we use 12 slightly smaller
         // pages (similar label mass) to keep the 30-cell grid fast.
         Scale::Full => DealersConfig {
@@ -57,7 +71,11 @@ pub fn dealers_for_grid() -> DealersDataset {
 
 /// The DISC dataset at the current scale, with its track annotator.
 pub fn disc() -> (DiscDataset, DictionaryAnnotator) {
-    let cfg = match scale() {
+    disc_at(scale())
+}
+
+fn disc_at(scale: Scale) -> (DiscDataset, DictionaryAnnotator) {
+    let cfg = match scale {
         Scale::Full => DiscConfig::default(),
         Scale::Quick => DiscConfig::small(6, 0xD15C),
     };
@@ -68,7 +86,11 @@ pub fn disc() -> (DiscDataset, DictionaryAnnotator) {
 
 /// The PRODUCTS dataset at the current scale, with its model annotator.
 pub fn products() -> (ProductsDataset, DictionaryAnnotator) {
-    let cfg = match scale() {
+    products_at(scale())
+}
+
+fn products_at(scale: Scale) -> (ProductsDataset, DictionaryAnnotator) {
+    let cfg = match scale {
         Scale::Full => ProductsConfig::default(),
         Scale::Quick => ProductsConfig::small(4, 0x9800),
     };
@@ -102,21 +124,20 @@ mod tests {
 
     #[test]
     fn default_scale_is_full() {
-        // (Environment-dependent, but AW_SCALE is unset under `cargo test`.)
-        if std::env::var("AW_SCALE").is_err() {
-            assert_eq!(scale(), Scale::Full);
-        }
+        assert_eq!(parse_scale(None), Scale::Full);
+        assert_eq!(parse_scale(Some("full")), Scale::Full);
+        assert_eq!(parse_scale(Some("QUICK")), Scale::Full);
+        assert_eq!(parse_scale(Some("quick")), Scale::Quick);
     }
 
     #[test]
     fn quick_datasets_generate() {
-        std::env::set_var("AW_SCALE", "quick");
-        let (d, _) = dealers();
+        let (d, _) = dealers_at(Scale::Quick);
         assert!(!d.sites.is_empty());
-        let (c, _) = disc();
+        assert!(!dealers_for_grid_at(Scale::Quick).sites.is_empty());
+        let (c, _) = disc_at(Scale::Quick);
         assert!(!c.sites.is_empty());
-        let (p, _) = products();
+        let (p, _) = products_at(Scale::Quick);
         assert!(!p.sites.is_empty());
-        std::env::remove_var("AW_SCALE");
     }
 }

@@ -11,9 +11,8 @@
 //!   carry a versioned JSON payload for all four rule languages
 //!   (TABLE/LR/HLRT/XPATH);
 //! * **serve** — [`CompiledWrapper::extract`] /
-//!   [`CompiledWrapper::extract_pages`] amortize the compiled xpath
-//!   trie, its cross-page template cache and the shared executor across
-//!   requests.
+//!   [`CompiledWrapper::extract_pages_with`] amortize the compiled xpath
+//!   trie and its cross-page template cache across requests.
 //!
 //! The payload is deliberately small and self-describing (the offline
 //! serde_json stand-in renders whole numbers with a decimal point, so
@@ -67,7 +66,7 @@
 
 use crate::config::WrapperLanguage;
 use crate::error::AwError;
-use crate::rule::{LearnedRule, LearnedRuleSet};
+use crate::rule::LearnedRule;
 use aw_dom::{Document, NodeId};
 use aw_induct::{HlrtRule, LrRule, TableRule};
 use aw_pool::Executor;
@@ -93,101 +92,91 @@ pub const BUNDLE_VERSION: u32 = 2;
 /// through the v2 bundle reader ([`WrapperBundle::from_json`]).
 pub const V1_SITE_KEY: &str = "default";
 
-/// A learned wrapper compiled for serving: the portable rule plus its
-/// pre-built execution state (xpath batch trie with its template cache,
-/// shared executor).
+/// A learned wrapper compiled for serving: one portable rule, plus, when
+/// the rule is an xpath, its compiled batch trie with a cross-page
+/// template cache. TABLE, LR and HLRT rules run [`LearnedRule::apply`]
+/// directly and carry no template cache.
 #[derive(Debug)]
 pub struct CompiledWrapper {
-    /// One-rule set: owns the rule and reuses the batched replay
-    /// machinery (compiled trie for xpath, shared page serialization for
-    /// LR/HLRT).
-    set: LearnedRuleSet,
-    executor: Executor,
+    rule: LearnedRule,
+    /// The xpath compiled into a one-path trie whose template cache
+    /// replays traces across pages of one script; `None` for other
+    /// languages.
+    batch: Option<aw_xpath::BatchEvaluator>,
 }
 
 impl CompiledWrapper {
-    /// Compiles a portable rule into a serving wrapper driving parallel
-    /// extraction through [`Executor::global`].
+    /// Compiles a portable rule into a serving wrapper.
     pub fn from_rule(rule: LearnedRule) -> CompiledWrapper {
-        CompiledWrapper {
-            set: LearnedRuleSet::new(vec![rule]),
-            executor: Executor::global().clone(),
-        }
-    }
-
-    /// Replaces the executor driving [`CompiledWrapper::extract_pages`].
-    pub fn with_executor(mut self, executor: Executor) -> CompiledWrapper {
-        self.executor = executor;
-        self
+        let batch = match &rule {
+            LearnedRule::XPath(xp) => Some(aw_xpath::BatchEvaluator::from_xpaths([xp])),
+            _ => None,
+        };
+        CompiledWrapper { rule, batch }
     }
 
     /// The wrapper language of the compiled rule.
     pub fn language(&self) -> WrapperLanguage {
-        self.rule().language()
+        self.rule.language()
     }
 
     /// The portable rule.
     pub fn rule(&self) -> &LearnedRule {
-        &self.set.rules()[0]
+        &self.rule
     }
 
     /// Extracts from one page, returning matched text nodes in document
     /// order (identical to [`LearnedRule::apply`]).
     pub fn extract(&self, doc: &Document) -> Vec<NodeId> {
-        self.set.apply(doc).pop().unwrap_or_default()
+        match &self.batch {
+            Some(batch) => batch.evaluate(doc).pop().unwrap_or_default(),
+            None => self.rule.apply(doc),
+        }
     }
 
     /// Extracts the matched text *values* from one page.
-    ///
-    /// Values are consumed as text only, so this takes the rule set's
-    /// shared-result path: template replays of rank-monotone pages reuse
-    /// one materialized node vector per trie leaf instead of rebuilding
-    /// it per page (see [`LearnedRuleSet::extract_values`]).
     pub fn extract_values(&self, doc: &Document) -> Vec<String> {
-        self.set.extract_values(doc).pop().unwrap_or_default()
-    }
-
-    /// Extracts from a whole crawl, page-parallel through the wrapper's
-    /// executor; `out[p]` equals [`CompiledWrapper::extract`] on
-    /// `docs[p]` for every thread count.
-    pub fn extract_pages(&self, docs: &[Document]) -> Vec<Vec<NodeId>> {
-        self.extract_pages_with(docs, &self.executor)
-    }
-
-    /// Like [`CompiledWrapper::extract_pages`], but driven through an
-    /// explicit executor — what [`crate::ExtractionService`] uses to
-    /// route every request's pages onto its own pool while sharing this
-    /// wrapper's compiled trie and template cache.
-    pub fn extract_pages_with(&self, docs: &[Document], exec: &Executor) -> Vec<Vec<NodeId>> {
-        self.set
-            .apply_pages(docs, exec)
+        self.extract(doc)
             .into_iter()
-            .map(|mut per_rule| per_rule.pop().unwrap_or_default())
+            .filter_map(|id| doc.text(id).map(str::to_string))
             .collect()
     }
 
+    /// Extracts from a whole crawl, page-parallel through `exec`:
+    /// `out[p]` equals [`CompiledWrapper::extract`] on `docs[p]` for
+    /// every thread count. [`crate::ExtractionService`] routes every
+    /// request's pages onto its own pool this way while sharing this
+    /// wrapper's compiled trie and template cache.
+    pub fn extract_pages_with(&self, docs: &[Document], exec: &Executor) -> Vec<Vec<NodeId>> {
+        exec.map(docs, |doc| self.extract(doc))
+    }
+
     /// Enables or disables the cross-page template cache of the
-    /// wrapper's xpath engine (enabled by default). Replay is
-    /// byte-identical to fresh evaluation; disabling only bounds memory
-    /// on workloads with unbounded distinct templates.
+    /// wrapper's xpath engine (enabled by default; a no-op for other
+    /// languages). Replay is byte-identical to fresh evaluation;
+    /// disabling only bounds memory on workloads with unbounded distinct
+    /// templates.
     pub fn with_template_cache(mut self, enabled: bool) -> CompiledWrapper {
-        self.set.set_template_cache(enabled);
+        if let Some(batch) = &mut self.batch {
+            batch.set_cache(enabled);
+        }
         self
     }
 
     /// `(replayed pages, other pages)` statistics of the wrapper's
-    /// cross-page template cache; `None` when the cache is disabled (or
-    /// the rule has no xpath engine to cache for).
+    /// cross-page template cache; `None` when the cache is disabled or
+    /// the rule has no xpath engine to cache for.
     pub fn template_cache_stats(&self) -> Option<(u64, u64)> {
-        self.set.template_cache_stats()
+        Some(self.batch.as_ref()?.template_cache()?.stats())
     }
 
     /// Replay-path breakdown of the wrapper's template cache — verbatim
     /// whole-page replays, stitched frame (partial) replays, and how
     /// records split between donor stitching and per-span fallback
-    /// within the latter; `None` when the cache is disabled.
+    /// within the latter; `None` when the cache is disabled or the rule
+    /// is not an xpath.
     pub fn template_replay_stats(&self) -> Option<aw_xpath::ReplayStats> {
-        self.set.template_replay_stats()
+        Some(self.batch.as_ref()?.template_cache()?.replay_stats())
     }
 
     /// Serializes the wrapper to its versioned JSON artifact.
@@ -544,19 +533,31 @@ mod tests {
     #[test]
     fn extract_pages_matches_extract_for_all_thread_counts() {
         let site = training_site();
-        let rule = LearnedRule::learn(&site, WrapperLanguage::XPath, &seed(&site));
+        // Fresh pages of the training script, plus junk and an empty page.
         let crawl: Vec<Document> = vec![
             fresh_page(),
             aw_dom::parse("<p>nothing here</p>"),
+            aw_dom::parse(
+                "<table class='stores'><tr><td><b>KAPPA SONS</b></td><td>4 Fir</td></tr></table>",
+            ),
+            aw_dom::parse(""),
             fresh_page(),
         ];
-        let sequential: Vec<Vec<NodeId>> = {
-            let w = CompiledWrapper::from_rule(rule.clone());
-            crawl.iter().map(|d| w.extract(d)).collect()
-        };
-        for threads in [1, 2, 4] {
-            let w = CompiledWrapper::from_rule(rule.clone()).with_executor(Executor::new(threads));
-            assert_eq!(w.extract_pages(&crawl), sequential, "threads {threads}");
+        for language in WrapperLanguage::ALL {
+            let rule = LearnedRule::learn(&site, language, &seed(&site));
+            let reference: Vec<Vec<NodeId>> = crawl.iter().map(|d| rule.apply(d)).collect();
+            assert!(
+                reference.iter().any(|ids| !ids.is_empty()),
+                "{language} extracts something"
+            );
+            for threads in [1, 2, 4] {
+                let w = CompiledWrapper::from_rule(rule.clone());
+                assert_eq!(
+                    w.extract_pages_with(&crawl, &Executor::new(threads)),
+                    reference,
+                    "{language} at {threads} threads"
+                );
+            }
         }
     }
 

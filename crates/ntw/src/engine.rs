@@ -28,7 +28,7 @@ use crate::artifact::CompiledWrapper;
 use crate::config::{NtwConfig, WrapperLanguage};
 use crate::error::AwError;
 use crate::learner::{enumerate_language, naive_impl, rank_space, LearnedWrapper, NtwOutcome};
-use crate::rule::{LearnedRule, LearnedRuleSet};
+use crate::rule::LearnedRule;
 use aw_dom::PageNode;
 use aw_enum::{EnumeratedWrapper, EnumerationResult};
 use aw_induct::{NodeSet, Site};
@@ -236,7 +236,6 @@ impl Engine {
         Ok(RankedWrappers {
             site,
             language,
-            executor: self.executor.clone(),
             outcome,
         })
     }
@@ -293,7 +292,6 @@ impl Engine {
         RankedWrappers {
             site,
             language: self.language,
-            executor: self.executor.clone(),
             outcome: NtwOutcome {
                 ranked: Vec::new(),
                 inductor_calls: 0,
@@ -357,13 +355,12 @@ impl<'s> WrapperSpace<'s> {
 }
 
 /// The ranked wrapper space of one site — the *rank* stage's output,
-/// carrying enough context (site, language, executor) for its wrappers
+/// carrying enough context (site, language) for its wrappers
 /// to compile into portable artifacts.
 #[derive(Debug)]
 pub struct RankedWrappers<'s> {
     site: &'s Site,
     language: WrapperLanguage,
-    executor: Executor,
     outcome: NtwOutcome,
 }
 
@@ -388,7 +385,6 @@ impl<'s> RankedWrappers<'s> {
         self.outcome.ranked.get(i).map(|wrapper| RankedWrapper {
             site: self.site,
             language: self.language,
-            executor: &self.executor,
             wrapper,
         })
     }
@@ -422,12 +418,6 @@ impl<'s> RankedWrappers<'s> {
     pub fn outcome(&self) -> &NtwOutcome {
         &self.outcome
     }
-
-    /// Portable rules for **all** ranked wrappers, compiled as a batched
-    /// [`LearnedRuleSet`] (best wrapper first).
-    pub fn rule_set(&self) -> LearnedRuleSet {
-        self.outcome.rule_set(self.site, self.language)
-    }
 }
 
 /// One ranked wrapper with its learning context — derefs to
@@ -437,16 +427,15 @@ impl<'s> RankedWrappers<'s> {
 pub struct RankedWrapper<'a> {
     site: &'a Site,
     language: WrapperLanguage,
-    executor: &'a Executor,
     wrapper: &'a LearnedWrapper,
 }
 
 impl RankedWrapper<'_> {
     /// **Stage 4 — compile**: learns the portable rule from this
     /// wrapper's seed and packages it as a serving artifact (compiled
-    /// xpath trie + executor, `to_json`/`from_json` for deployment).
+    /// xpath trie, `to_json`/`from_json` for deployment).
     pub fn compile(&self) -> CompiledWrapper {
-        CompiledWrapper::from_rule(self.portable_rule()).with_executor(self.executor.clone())
+        CompiledWrapper::from_rule(self.portable_rule())
     }
 
     /// The portable rule, detached from the training site.

@@ -13,7 +13,8 @@
 //!   catches wrappers that still match *something*, but the wrong thing;
 //! * **template-cache replay-miss spikes** — structurally novel pages
 //!   arriving faster than the cache can absorb them mean the site's
-//!   template population changed;
+//!   template population changed (xpath wrappers only: TABLE, LR and
+//!   HLRT wrappers keep no template cache and report no misses);
 //! * **page errors** — unparseable request pages count against the
 //!   window rather than failing the request.
 //!

@@ -6,9 +6,9 @@
 //!    `log P(L | X) + log P(X)` (crate `aw-rank`) and rank.
 //!
 //! The public entry point is [`crate::Engine`] (`engine.learn`,
-//! `engine.naive`). The generic [`learn_with_feature_based`] /
-//! [`learn_with_blackbox`] remain the extension points for custom
-//! inductors outside the four built-in languages.
+//! `engine.naive`). The generic [`learn_with_feature_based`] remains the
+//! extension point for custom feature-based inductors outside the four
+//! built-in languages.
 
 use crate::config::{Enumeration, NtwConfig, WrapperLanguage};
 use aw_dom::PageNode;
@@ -117,23 +117,6 @@ where
     let space = enumerate_feature_based(inductor, &seed_labels, config);
     // The config's ranking mode is authoritative (lets one model serve all
     // three §7.3 variants).
-    rank_space(space, site, labels, &model.with_mode(config.mode))
-}
-
-/// Learner over a blackbox inductor (BottomUp/Naive only; TopDown falls
-/// back to BottomUp).
-pub fn learn_with_blackbox<I>(
-    inductor: &I,
-    site: &Site,
-    labels: &NodeSet,
-    model: &RankingModel,
-    config: &NtwConfig,
-) -> NtwOutcome
-where
-    I: WrapperInductor<Item = PageNode>,
-{
-    let seed_labels = subsample(labels, config.max_enumeration_labels);
-    let space = enumerate_blackbox(inductor, &seed_labels, config);
     rank_space(space, site, labels, &model.with_mode(config.mode))
 }
 

@@ -75,8 +75,8 @@
 //! ```
 //!
 //! The [`Engine`] is the one learn entry point for the four built-in
-//! languages; the generic [`learn_with_feature_based`] /
-//! [`learn_with_blackbox`] remain for custom inductors.
+//! languages; the generic [`learn_with_feature_based`] remains for custom
+//! feature-based inductors.
 
 pub mod artifact;
 pub mod config;
@@ -101,12 +101,12 @@ pub use engine::{Annotator, Engine, EngineBuilder, RankedWrapper, RankedWrappers
 pub use error::AwError;
 pub use health::{HealthEvent, HealthThresholds, HealthTracker, PageObservation, SiteHealth};
 pub use latency::{LatencyHistogram, LatencySnapshot};
-pub use learner::{learn_with_blackbox, learn_with_feature_based, LearnedWrapper, NtwOutcome};
+pub use learner::{learn_with_feature_based, LearnedWrapper, NtwOutcome};
 pub use multi_type::{
     assemble_records, learn_multi_type, MultiTypeModel, MultiTypeOutcome, MultiTypeWrapper, Record,
 };
 pub use relearn::{RelearnConfig, RelearnController, RelearnOutcome};
-pub use rule::{LearnedRule, LearnedRuleSet};
+pub use rule::LearnedRule;
 pub use service::{
     ExtractRequest, ExtractResponse, ExtractionService, ParseStats, ResidencyStats, WrapperRegistry,
 };

@@ -4,7 +4,7 @@
 //! The paper's economics are "learn offline, extract at web scale": a
 //! wrapper is induced once per site and then applied to every page the
 //! crawler brings in. Until this module the public surface stopped at
-//! one-shot [`CompiledWrapper::extract_pages`] calls — there was no API
+//! one-shot [`CompiledWrapper::extract_pages_with`] calls — there was no API
 //! for holding *many* sites' wrappers resident and answering concurrent
 //! extraction requests. Two types close that gap:
 //!
@@ -22,16 +22,17 @@
 //!   responses stay byte-identical to the fully-resident path.
 //! * [`ExtractionService`] — the request loop. [`ExtractionService::handle`]
 //!   parses each request page once into a `DocIndex`, routes to the
-//!   site's wrapper, and evaluates through that wrapper's **persistent
-//!   per-site batch trie and cross-page [`aw_xpath::TemplateCache`]**
-//!   on the shared executor. Structurally identical pages arriving in
-//!   *separate requests* therefore hit template replay: the cache
-//!   belongs to the resident wrapper, not to any single call.
+//!   site's wrapper, and evaluates through it on the shared executor —
+//!   for an xpath wrapper, through its **persistent per-site batch trie
+//!   and cross-page [`aw_xpath::TemplateCache`]**. Structurally
+//!   identical pages arriving in *separate requests* therefore hit
+//!   template replay: the cache belongs to the resident wrapper, not
+//!   to any single call.
 //!
 //! `aw-serve` fronts an `ExtractionService` with an HTTP/1.1 interface
 //! (`awrap serve`); in-process consumers use it directly (see
 //! `examples/serve_extract.rs`). Responses are byte-identical to direct
-//! [`CompiledWrapper::extract_pages`] for every language, thread count
+//! [`CompiledWrapper::extract_pages_with`] for every language, thread count
 //! and cache setting — enforced by `tests/extraction_service.rs`.
 
 use crate::artifact::{CompiledWrapper, WrapperBundle};
@@ -898,9 +899,10 @@ impl ExtractionService {
     /// Serves one request: parse each page once (building its
     /// `DocIndex`), route to the site's wrapper — faulting it in from
     /// the registry's bundle store if the registry is lazy and the
-    /// wrapper is not resident — evaluate through the wrapper's
-    /// persistent batch trie + template cache on the service executor,
-    /// and return the extracted text values per page.
+    /// wrapper is not resident — evaluate through the wrapper on the
+    /// service executor (an xpath wrapper through its persistent batch
+    /// trie + template cache), and return the extracted text values per
+    /// page.
     ///
     /// Errors with [`AwError::UnknownSite`] when no wrapper is
     /// registered for (or faultable to) the request's site key. A page that fails to
@@ -992,16 +994,6 @@ impl ExtractionService {
             pages,
             errors,
         })
-    }
-
-    /// Serves a batch of requests through the executor; `out[i]` equals
-    /// [`ExtractionService::handle`] on `requests[i]` for every thread
-    /// count.
-    pub fn handle_batch(
-        &self,
-        requests: &[ExtractRequest],
-    ) -> Vec<Result<ExtractResponse, AwError>> {
-        self.executor.map(requests, |request| self.handle(request))
     }
 }
 
@@ -1496,29 +1488,5 @@ mod tests {
         let f = fallback.parse_stats();
         assert_eq!((f.pages, f.stream, f.fallback), (3, 0, 3));
         assert_eq!(ParseStats::default().pages, 0);
-    }
-
-    #[test]
-    fn handle_batch_matches_sequential_handles() {
-        let registry = Arc::new(WrapperRegistry::new());
-        registry.insert("x", wrapper(WrapperLanguage::XPath));
-        registry.insert("l", wrapper(WrapperLanguage::Lr));
-        let service = ExtractionService::new(Arc::clone(&registry)).with_executor(Executor::new(3));
-        let requests: Vec<ExtractRequest> = (0..12)
-            .map(|i| {
-                let site = if i % 3 == 2 {
-                    "missing"
-                } else if i % 2 == 0 {
-                    "x"
-                } else {
-                    "l"
-                };
-                ExtractRequest::single(site, fresh_html(&format!("NAME {i}")))
-            })
-            .collect();
-        let batched = service.handle_batch(&requests);
-        for (request, got) in requests.iter().zip(batched) {
-            assert_eq!(got, service.handle(request), "site {}", request.site);
-        }
     }
 }

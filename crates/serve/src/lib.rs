@@ -14,7 +14,7 @@
 //! | Method & path    | Body                 | Reply |
 //! |------------------|----------------------|-------|
 //! | `POST /extract`  | `{"site": K, "html": H}` or `{"site": K, "pages": [H…]}` | extracted values per page + per-page parse errors |
-//! | `GET /wrappers`  | —                    | resident sites, rules, template-cache stats, health, residency counters |
+//! | `GET /wrappers`  | —                    | resident sites, rules, template-cache stats (`replay` is `null` for non-XPath wrappers, which have no cache), health, residency counters |
 //! | `POST /wrappers` | a wrapper artifact of **any generation** — v1 single-wrapper JSON, v2 bundle JSON, or v3 binary bundle | hot-swaps the registry |
 //! | `GET /healthz`   | —                    | liveness + site count + registry generation |
 //! | `GET /health`    | —                    | every observed site's health + the event journal tail |
@@ -55,9 +55,9 @@
 //! is the process-wide work-stealing team — page-parallel evaluation
 //! from many simultaneous connections interleaves in one pool instead
 //! of oversubscribing the machine. The per-site template caches live in
-//! the registry's wrappers, so structurally identical pages arriving on
-//! different connections still replay each other's traces. Every
-//! request's wall time goes into the service's
+//! the registry's xpath wrappers, so structurally identical pages
+//! arriving on different connections still replay each other's traces.
+//! Every request's wall time goes into the service's
 //! [`aw_core::LatencyHistogram`], surfaced as the `latency` object of
 //! `GET /wrappers`.
 //!
@@ -263,7 +263,8 @@ fn list_wrappers(service: &ExtractionService) -> Response {
             // Replay-path breakdown: `template_replays` splits into
             // verbatim whole-page replays and stitched frame (partial)
             // replays; record counters describe stitching within the
-            // latter. Null for wrappers with the cache disabled.
+            // latter. Null for non-xpath wrappers (no template cache)
+            // and for xpath wrappers with the cache disabled.
             let replay = match wrapper.template_replay_stats() {
                 Some(stats) => obj(vec![
                     ("full_replays", Value::Number(stats.full_replays as f64)),

@@ -100,7 +100,7 @@ use crate::indexed::{
 use aw_dom::{DocIndex, Document, NodeId, RecordLayout};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One predicate list under a trie node: candidates whose step here has
 /// exactly these predicates, plus the subtrie that follows them.
@@ -139,19 +139,13 @@ struct Trace {
     bare: Vec<Option<Arc<Vec<u32>>>>,
     /// Post-predicate selection per variant (indexed by `Variant::gid`).
     selected: Vec<Option<Arc<Vec<u32>>>>,
-    /// Per-variant memoized `NodeId` materializations, shared across
-    /// replays of rank-monotone pages (see [`SharedSink`]). Populated
-    /// lazily on whole-page traces only; factored frames, donors and
-    /// captures never materialize and leave it empty.
-    terminal_ids: Vec<OnceLock<Arc<Vec<NodeId>>>>,
 }
 
 impl Trace {
-    fn empty(nodes: usize, variants: usize, terminals: usize) -> Trace {
+    fn empty(nodes: usize, variants: usize) -> Trace {
         Trace {
             bare: vec![None; nodes],
             selected: vec![None; variants],
-            terminal_ids: (0..terminals).map(|_| OnceLock::new()).collect(),
         }
     }
 }
@@ -437,7 +431,6 @@ fn factor_trace(trace: &Trace, layout: &RecordLayout) -> FactoredTrace {
     let frame = Trace {
         bare: restrict(&|v| collapse(v, rs, re), &trace.bare),
         selected: restrict(&|v| collapse(v, rs, re), &trace.selected),
-        terminal_ids: Vec::new(),
     };
     let mut donors: HashMap<u64, Arc<Trace>> = HashMap::new();
     for rec in &layout.records {
@@ -445,7 +438,6 @@ fn factor_trace(trace: &Trace, layout: &RecordLayout) -> FactoredTrace {
             Arc::new(Trace {
                 bare: restrict(&|v| slice_rebased(v, rec.start, rec.end), &trace.bare),
                 selected: restrict(&|v| slice_rebased(v, rec.start, rec.end), &trace.selected),
-                terminal_ids: Vec::new(),
             })
         });
     }
@@ -453,69 +445,6 @@ fn factor_trace(trace: &Trace, layout: &RecordLayout) -> FactoredTrace {
         run_start: rs,
         frame,
         donors: Mutex::new(donors),
-    }
-}
-
-/// Where a walk delivers each terminal's node-set.
-///
-/// The four walk bodies (plain, recording, replay, partial replay) are
-/// generic over this so [`BatchEvaluator::evaluate`] can return owned
-/// vectors while [`BatchEvaluator::evaluate_shared`] returns `Arc`s and
-/// memoizes materializations across replays.
-trait ResultSink {
-    /// Deliver the result of path `path` as materialized `NodeId`s.
-    fn emit(&mut self, idx: DocIndex<'_>, path: usize, ranks: &[u32]);
-
-    /// Like [`ResultSink::emit`], with a per-trace memo slot available
-    /// (verbatim whole-page replays only, where the same ranks recur on
-    /// every page of the template). Sinks that can share results may use
-    /// it; the default materializes fresh.
-    fn emit_memo(
-        &mut self,
-        idx: DocIndex<'_>,
-        path: usize,
-        ranks: &[u32],
-        memo: &OnceLock<Arc<Vec<NodeId>>>,
-    ) {
-        let _ = memo;
-        self.emit(idx, path, ranks);
-    }
-}
-
-/// Materializes owned, independently mutable result vectors
-/// ([`BatchEvaluator::evaluate`]).
-struct OwnedSink(Vec<Vec<NodeId>>);
-
-impl ResultSink for OwnedSink {
-    fn emit(&mut self, idx: DocIndex<'_>, path: usize, ranks: &[u32]) {
-        self.0[path] = materialize(idx, ranks);
-    }
-}
-
-/// Materializes shared result vectors ([`BatchEvaluator::evaluate_shared`]),
-/// memoizing per-variant materializations across verbatim replays of
-/// rank-monotone pages: there `materialize` maps rank `r` to `NodeId(r)`,
-/// so identical ranks yield identical `NodeId` vectors on every page of
-/// the template and the vector is built once per trace.
-struct SharedSink(Vec<Arc<Vec<NodeId>>>);
-
-impl ResultSink for SharedSink {
-    fn emit(&mut self, idx: DocIndex<'_>, path: usize, ranks: &[u32]) {
-        self.0[path] = Arc::new(materialize(idx, ranks));
-    }
-
-    fn emit_memo(
-        &mut self,
-        idx: DocIndex<'_>,
-        path: usize,
-        ranks: &[u32],
-        memo: &OnceLock<Arc<Vec<NodeId>>>,
-    ) {
-        if idx.ranks_monotone() {
-            self.0[path] = Arc::clone(memo.get_or_init(|| Arc::new(materialize(idx, ranks))));
-        } else {
-            self.emit(idx, path, ranks);
-        }
     }
 }
 
@@ -673,29 +602,12 @@ impl BatchEvaluator {
     /// whether the page evaluated fresh, recorded a template trace, or
     /// replayed one (see the [module docs](self)).
     pub fn evaluate(&self, doc: &Document) -> Vec<Vec<NodeId>> {
-        let mut sink = OwnedSink(vec![Vec::new(); self.paths]);
-        self.evaluate_into(doc, &mut sink);
-        sink.0
+        let mut out = vec![Vec::new(); self.paths];
+        self.evaluate_into(doc, &mut out);
+        out
     }
 
-    /// Like [`BatchEvaluator::evaluate`], but returns shared vectors.
-    ///
-    /// Identical contents for every path — only the ownership differs:
-    /// verbatim template replays of rank-monotone pages reuse one
-    /// materialized `NodeId` vector per trie leaf instead of rebuilding
-    /// it per page. Meant for read-only consumers (the common one reads
-    /// node *text* and never touches the vector again), which is why the
-    /// results come back behind `Arc`s.
-    pub fn evaluate_shared(&self, doc: &Document) -> Vec<Arc<Vec<NodeId>>> {
-        // One shared empty placeholder is fine: every slot the walk
-        // reaches is overwritten, and untouched slots stay empty.
-        let empty: Arc<Vec<NodeId>> = Arc::new(Vec::new());
-        let mut sink = SharedSink(vec![empty; self.paths]);
-        self.evaluate_into(doc, &mut sink);
-        sink.0
-    }
-
-    fn evaluate_into<S: ResultSink>(&self, doc: &Document, sink: &mut S) {
+    fn evaluate_into(&self, doc: &Document, out: &mut [Vec<NodeId>]) {
         // Not `is_empty()`: that is true for root-only documents, which still
         // evaluate (to nothing or to the root for the empty path). Only a
         // zero-node `Document::default()` lacks the root entirely.
@@ -707,19 +619,19 @@ impl BatchEvaluator {
         if let Some(cache) = &self.cache {
             let key = (doc.len() as u32, idx.template_fingerprint());
             if let Some(trace) = cache.lookup_exact(key) {
-                return self.evaluate_replay(doc, idx, &trace, sink);
+                return self.evaluate_replay(doc, idx, &trace, out);
             }
             // Only a whole-page miss needs the record layout.
             let layout = idx.record_layout();
             match cache.lookup(key, layout.map(|l| l.frame_fingerprint)) {
-                Lookup::Replay(trace) => return self.evaluate_replay(doc, idx, &trace, sink),
+                Lookup::Replay(trace) => return self.evaluate_replay(doc, idx, &trace, out),
                 Lookup::PartialReplay(factored) => {
                     let layout = layout.expect("partial replay implies a record layout");
                     return self
-                        .evaluate_partial_replay(doc, idx, key, layout, &factored, cache, sink);
+                        .evaluate_partial_replay(doc, idx, key, layout, &factored, cache, out);
                 }
                 Lookup::Record => {
-                    let trace = self.evaluate_recording(doc, idx, sink);
+                    let trace = self.evaluate_recording(doc, idx, out);
                     let factored = layout.map(|l| (l.frame_fingerprint, factor_trace(&trace, l)));
                     cache.store(key, trace, factored);
                     return;
@@ -727,14 +639,14 @@ impl BatchEvaluator {
                 Lookup::Bypass => {}
             }
         }
-        self.evaluate_plain(doc, idx, sink)
+        self.evaluate_plain(doc, idx, out)
     }
 
     /// The direct evaluation path (no trace involved).
-    fn evaluate_plain<S: ResultSink>(&self, doc: &Document, idx: DocIndex<'_>, sink: &mut S) {
+    fn evaluate_plain(&self, doc: &Document, idx: DocIndex<'_>, out: &mut [Vec<NodeId>]) {
         let root_ctx: Vec<u32> = vec![idx.rank_of(doc.root())];
         for &t in &self.root.terminals {
-            sink.emit(idx, t as usize, &root_ctx);
+            out[t as usize] = materialize(idx, &root_ctx);
         }
 
         // Depth-first over the trie, carrying the context node-set of the
@@ -788,7 +700,7 @@ impl BatchEvaluator {
                     continue;
                 }
                 for &t in &variant.terminals {
-                    sink.emit(idx, t as usize, &selected);
+                    out[t as usize] = materialize(idx, &selected);
                 }
                 if let Some((&last_child, rest)) = variant.children.split_last() {
                     for &c in rest {
@@ -807,20 +719,16 @@ impl BatchEvaluator {
     /// give up their fused collect-and-filter path here — the bare set
     /// must exist to be recorded. That one-page cost is what replays
     /// amortize away.
-    fn evaluate_recording<S: ResultSink>(
+    fn evaluate_recording(
         &self,
         doc: &Document,
         idx: DocIndex<'_>,
-        sink: &mut S,
+        out: &mut [Vec<NodeId>],
     ) -> Trace {
-        let mut trace = Trace::empty(
-            self.nodes.len(),
-            self.n_variants as usize,
-            self.n_variants as usize,
-        );
+        let mut trace = Trace::empty(self.nodes.len(), self.n_variants as usize);
         let root_ctx: Arc<Vec<u32>> = Arc::new(vec![idx.rank_of(doc.root())]);
         for &t in &self.root.terminals {
-            sink.emit(idx, t as usize, &root_ctx);
+            out[t as usize] = materialize(idx, &root_ctx);
         }
         let mut stack: Vec<(u32, Arc<Vec<u32>>)> = self
             .root
@@ -853,7 +761,7 @@ impl BatchEvaluator {
                     continue;
                 }
                 for &t in &variant.terminals {
-                    sink.emit(idx, t as usize, &selected);
+                    out[t as usize] = materialize(idx, &selected);
                 }
                 for &c in &variant.children {
                     stack.push((c, Arc::clone(&selected)));
@@ -873,12 +781,12 @@ impl BatchEvaluator {
     /// over the cached bare set; the subtrie below one keeps replaying
     /// only while the fresh selection equals the recorded one, and
     /// otherwise falls back to fresh traversal from that point.
-    fn evaluate_replay<S: ResultSink>(
+    fn evaluate_replay(
         &self,
         doc: &Document,
         idx: DocIndex<'_>,
         trace: &Trace,
-        sink: &mut S,
+        out: &mut [Vec<NodeId>],
     ) {
         /// Context of a pending trie node during replay.
         enum Ctx {
@@ -890,7 +798,7 @@ impl BatchEvaluator {
 
         let root_ctx: Vec<u32> = vec![idx.rank_of(doc.root())];
         for &t in &self.root.terminals {
-            sink.emit(idx, t as usize, &root_ctx);
+            out[t as usize] = materialize(idx, &root_ctx);
         }
         let mut stack: Vec<(u32, Ctx)> = self
             .root
@@ -926,15 +834,7 @@ impl BatchEvaluator {
                                 continue;
                             }
                             for &t in &variant.terminals {
-                                // Verbatim ranks recur on every page of
-                                // the template — sharing sinks memoize
-                                // the materialization in the trace.
-                                sink.emit_memo(
-                                    idx,
-                                    t as usize,
-                                    selected,
-                                    &trace.terminal_ids[variant.gid as usize],
-                                );
+                                out[t as usize] = materialize(idx, selected);
                             }
                             for &c in &variant.children {
                                 stack.push((c, Ctx::Trusted));
@@ -954,7 +854,7 @@ impl BatchEvaluator {
                                 continue;
                             }
                             for &t in &variant.terminals {
-                                sink.emit(idx, t as usize, &fresh);
+                                out[t as usize] = materialize(idx, &fresh);
                             }
                             if agrees {
                                 for &c in &variant.children {
@@ -987,7 +887,7 @@ impl BatchEvaluator {
                             continue;
                         }
                         for &t in &variant.terminals {
-                            sink.emit(idx, t as usize, &selected);
+                            out[t as usize] = materialize(idx, &selected);
                         }
                         let shared = Arc::new(selected);
                         for &c in &variant.children {
@@ -1013,7 +913,7 @@ impl BatchEvaluator {
     /// pointwise over the true bare set, so emitted results never depend
     /// on trust — trust only buys the cheaper bare-set path below.
     #[allow(clippy::too_many_arguments)]
-    fn evaluate_partial_replay<S: ResultSink>(
+    fn evaluate_partial_replay(
         &self,
         doc: &Document,
         idx: DocIndex<'_>,
@@ -1021,7 +921,7 @@ impl BatchEvaluator {
         layout: &RecordLayout,
         factored: &FactoredTrace,
         cache: &TemplateCache,
-        sink: &mut S,
+        out: &mut [Vec<NodeId>],
     ) {
         debug_assert_eq!(
             layout.run_start, factored.run_start,
@@ -1062,7 +962,7 @@ impl BatchEvaluator {
                     captures.push(Capture {
                         record: i,
                         fingerprint: rec.fingerprint,
-                        trace: Trace::empty(self.nodes.len(), self.n_variants as usize, 0),
+                        trace: Trace::empty(self.nodes.len(), self.n_variants as usize),
                     });
                 }
                 donors.push(donor);
@@ -1080,15 +980,11 @@ impl BatchEvaluator {
         // from a recording — promoted under the page's whole-page
         // fingerprint at the end, it turns every later page with this
         // roster shape into a verbatim replay.
-        let mut promo = Trace::empty(
-            self.nodes.len(),
-            self.n_variants as usize,
-            self.n_variants as usize,
-        );
+        let mut promo = Trace::empty(self.nodes.len(), self.n_variants as usize);
 
         let root_ctx: Arc<Vec<u32>> = Arc::new(vec![idx.rank_of(doc.root())]);
         for &t in &self.root.terminals {
-            sink.emit(idx, t as usize, &root_ctx);
+            out[t as usize] = materialize(idx, &root_ctx);
         }
         let mut stack: Vec<(u32, PCtx)> = self
             .root
@@ -1128,7 +1024,7 @@ impl BatchEvaluator {
                     }
                     promo.selected[variant.gid as usize] = Some(Arc::clone(&selected));
                     for &t in &variant.terminals {
-                        sink.emit(idx, t as usize, &selected);
+                        out[t as usize] = materialize(idx, &selected);
                     }
                     for &c in &variant.children {
                         stack.push((c, PCtx::Fresh(Arc::clone(&selected))));
@@ -1155,7 +1051,7 @@ impl BatchEvaluator {
                     }
                     promo.selected[variant.gid as usize] = Some(Arc::clone(&bare));
                     for &t in &variant.terminals {
-                        sink.emit(idx, t as usize, &bare);
+                        out[t as usize] = materialize(idx, &bare);
                     }
                     for &c in &variant.children {
                         stack.push((c, PCtx::Trusted(Arc::clone(&bare))));
@@ -1180,7 +1076,7 @@ impl BatchEvaluator {
                         continue;
                     }
                     for &t in &variant.terminals {
-                        sink.emit(idx, t as usize, &fresh);
+                        out[t as usize] = materialize(idx, &fresh);
                     }
                     let shared = Arc::new(fresh);
                     promo.selected[variant.gid as usize] = Some(Arc::clone(&shared));
@@ -1751,39 +1647,6 @@ mod tests {
         assert_all_match_reference(&batch, &paths, &pages);
         let stats = batch.template_cache().unwrap().replay_stats();
         assert_eq!(stats.frame_replays, 2, "pages 2 and 3 stitch");
-    }
-
-    #[test]
-    fn evaluate_shared_matches_evaluate_and_memoizes_replays() {
-        let pages: Vec<aw_dom::Document> = [3usize, 3, 3, 3]
-            .iter()
-            .map(|&n| varlen_page(&vec![("SHARED", true); n]))
-            .collect();
-        let paths = candidate_set();
-        let owned = BatchEvaluator::from_xpaths(&paths);
-        let shared = BatchEvaluator::from_xpaths(&paths);
-        let mut replayed: Vec<Vec<Arc<Vec<NodeId>>>> = Vec::new();
-        for doc in &pages {
-            let o = owned.evaluate(doc);
-            let s = shared.evaluate_shared(doc);
-            assert_eq!(o.len(), s.len());
-            for (a, b) in o.iter().zip(&s) {
-                assert_eq!(a, b.as_ref());
-            }
-            replayed.push(s);
-        }
-        // Pages 2 and 3 replay the same template verbatim on monotone
-        // pages: their terminal vectors are the same allocation.
-        let (h, _) = shared.template_cache().unwrap().stats();
-        assert_eq!(h, 2);
-        for (a, b) in replayed[2].iter().zip(&replayed[3]) {
-            if !a.is_empty() {
-                assert!(
-                    Arc::ptr_eq(a, b),
-                    "replayed terminals share one materialization"
-                );
-            }
-        }
     }
 
     #[test]

@@ -2,8 +2,10 @@
 # Smoke test of the learn-offline → bundle → serve-online path, end to
 # end over real HTTP: learn wrappers for a tiny two-site DEALERS-style
 # corpus, emit a v2 bundle, start `awrap serve` on an ephemeral port,
-# and drive every endpoint with curl. Run from the workspace root; CI's
-# serve-smoke job calls this after `cargo build --release --bin awrap`.
+# and drive every endpoint with curl; then serve an LR bundle of the
+# same corpus and check it lists no template replays. Run from the
+# workspace root; CI's serve-smoke job calls this after
+# `cargo build --release --bin awrap`.
 set -euo pipefail
 
 BIN=${AWRAP:-target/release/awrap}
@@ -160,6 +162,36 @@ echo "$LISTING" | grep -q '"max_resident":1'
 echo "$LISTING" | grep -q '"store_sites":2'
 echo "$LISTING" | grep -q '"faults":2'
 echo "$LISTING" | grep -q '"grace_hits":1'
+
+kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+
+# ── An LR bundle: served without any xpath template cache ───────────
+"$BIN" learn --pages "$TMP/sites" --dict "$TMP/dict.txt" --lang lr --bundle "$TMP/bundle-lr.json"
+grep -q '"language": "LR"' "$TMP/bundle-lr.json"
+"$BIN" serve --bundle "$TMP/bundle-lr.json" --addr 127.0.0.1:0 --threads 2 > "$TMP/serve-lr.log" 2>&1 &
+SERVER_PID=$!
+ADDR=""
+for _ in $(seq 1 100); do
+  ADDR=$(grep -oE 'http://[0-9.]+:[0-9]+' "$TMP/serve-lr.log" | head -1 || true)
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "LR server did not start:"; cat "$TMP/serve-lr.log"; exit 1; }
+echo "smoke: LR bundle serving at $ADDR"
+RESPONSE=$(curl -sf -X POST "$ADDR/extract" --data @"$TMP/req.json")
+echo "smoke: LR extract response: $RESPONSE"
+echo "$RESPONSE" | grep -q '"OMEGA GROUP"'
+echo "$RESPONSE" | grep -q '"SIGMA BROS"'
+# Only xpath wrappers keep a template cache: the LR site that just
+# served a page lists `"replay":null` (the entry runs up to its health
+# object's first brace).
+LISTING=$(curl -sf "$ADDR/wrappers")
+echo "$LISTING" | grep -o '"site":"dealer-a"[^}]*' | grep -q '"language":"LR".*"replay":null'
+if echo "$LISTING" | grep -q '"full_replays"'; then
+  echo "LR wrappers must not report template replays: $LISTING"; exit 1
+fi
+echo "smoke: LR site lists no template replays"
 
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""

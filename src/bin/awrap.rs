@@ -631,21 +631,23 @@ fn apply_cmd(args: &[String]) -> Result<(), String> {
             keys.join(", ")
         )
     };
-    let mut wrapper = match artifact {
+    let wrapper = match artifact {
         LoadedArtifact::Resident(mut bundle) => bundle.remove(&key).ok_or_else(missing)?,
         LoadedArtifact::Lazy(store) => store
             .load(&key)
             .map_err(|e| e.to_string())?
             .ok_or_else(missing)?,
     };
-    if let Some(exec) = threads_flag(args)? {
-        wrapper = wrapper.with_executor(exec);
-    }
+    let exec = threads_flag(args)?.unwrap_or_else(|| Executor::global().clone());
     println!("loaded {} wrapper: {}", wrapper.language(), wrapper.rule());
     let docs: Vec<Document> = read_pages(&dir)?.iter().map(|html| parse(html)).collect();
     // One batched page-parallel pass — the serving hot loop.
     let mut total = 0usize;
-    for (i, ids) in wrapper.extract_pages(&docs).into_iter().enumerate() {
+    for (i, ids) in wrapper
+        .extract_pages_with(&docs, &exec)
+        .into_iter()
+        .enumerate()
+    {
         for id in ids {
             if let Some(t) = docs[i].text(id) {
                 println!("page {i} | {t}");

@@ -137,7 +137,7 @@ pub mod prelude {
         learn_multi_type, learn_single_entity, Annotator, ArtifactReader, AwError, BundleStore,
         CompiledWrapper, Engine, EngineBuilder, Enumeration, ExtractRequest, ExtractResponse,
         ExtractionService, HealthEvent, HealthThresholds, HealthTracker, LearnedRule,
-        LearnedRuleSet, LoadedArtifact, MultiTypeModel, NtwConfig, RankedWrappers, RelearnConfig,
+        LoadedArtifact, MultiTypeModel, NtwConfig, RankedWrappers, RelearnConfig,
         RelearnController, ResidencyStats, SiteHealth, WrapperBundle, WrapperLanguage,
         WrapperRegistry, WrapperSpace,
     };

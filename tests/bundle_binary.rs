@@ -163,7 +163,11 @@ fn segment_damage_names_the_offending_site_key() {
 
 #[test]
 fn grace_window_retains_warmed_template_caches_across_eviction() {
-    let store = Arc::new(BundleStore::from_bytes(bundle_of(&["a", "b", "c"]).to_binary()).unwrap());
+    // Only an xpath wrapper keeps a template cache, so "a" is the XPath
+    // site whose warmed cache the grace window must retain.
+    let mut bundle = bundle_of(&["b", "c"]);
+    bundle.insert("a", wrapper_for(WrapperLanguage::XPath));
+    let store = Arc::new(BundleStore::from_bytes(bundle.to_binary()).unwrap());
     let registry = Arc::new(WrapperRegistry::from_store(store, Some(2)));
     let service = ExtractionService::new(Arc::clone(&registry));
     // Warm site "a"'s template cache: first request bypasses, second

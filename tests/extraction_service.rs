@@ -4,7 +4,7 @@
 //! The serving invariants:
 //!
 //! * service responses are **byte-identical** to direct
-//!   [`CompiledWrapper::extract_pages`] for every language, thread
+//!   [`CompiledWrapper::extract_pages_with`] for every language, thread
 //!   count, and template-cache setting;
 //! * v1 single-wrapper artifacts load through the v2 bundle reader with
 //!   byte-identical extraction;
@@ -74,7 +74,7 @@ fn crawl_html() -> Vec<String> {
 fn direct_values(wrapper: &CompiledWrapper, html: &[String]) -> Vec<Vec<String>> {
     let docs: Vec<Document> = html.iter().map(|h| parse(h)).collect();
     wrapper
-        .extract_pages(&docs)
+        .extract_pages_with(&docs, Executor::global())
         .into_iter()
         .zip(&docs)
         .map(|(ids, doc)| {

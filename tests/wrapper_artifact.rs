@@ -99,7 +99,7 @@ fn engine_wrapper_survives_serialization_for_every_language() {
             );
         }
         assert_eq!(
-            shipped.extract_pages(&pages),
+            shipped.extract_pages_with(&pages, Executor::global()),
             pages.iter().map(|d| wrapper.extract(d)).collect::<Vec<_>>(),
             "{language}: batched extraction diverged"
         );
