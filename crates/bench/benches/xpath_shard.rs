@@ -21,7 +21,8 @@
 //! actually needs):
 //!
 //! * `indexed (site-local)` — per-rule compiled evaluation;
-//! * `sharded` — `ShardedBatch`, sequential, template cache off;
+//! * `sharded` — one `BatchEvaluator` per site, each applied to its own
+//!   site's pages, sequential, template cache off;
 //! * `sharded ×N` — the same tries, page-parallel with N threads
 //!   (measured only when more than one core is available).
 //!
@@ -70,7 +71,7 @@ use aw_eval::Executor;
 use aw_induct::{NodeSet, XPathInductor};
 use aw_rank::{AnnotatorModel, ListFeatures, PublicationModel, RankingModel};
 use aw_sitegen::{epoch_html, generate_dealers, DealersConfig, TemplateEvolution};
-use aw_xpath::{evaluate_compiled, reference, BatchEvaluator, CompiledXPath, ShardedBatch, XPath};
+use aw_xpath::{evaluate_compiled, reference, BatchEvaluator, CompiledXPath, ReplayStats, XPath};
 use serde::Value;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -198,12 +199,56 @@ fn eval_indexed_local(sites: &[SiteData]) -> usize {
     nodes
 }
 
-fn eval_sharded(sharded: &ShardedBatch, pages: &[(usize, &Document)], exec: &Executor) -> usize {
-    sharded
-        .evaluate_pages(pages, exec)
+/// One `BatchEvaluator` per site over that site's candidates — the
+/// sharded engine.
+fn site_batches(sites: &[SiteData], cache: bool) -> Vec<BatchEvaluator> {
+    sites
         .iter()
-        .flat_map(|page| page.iter().map(|(_, nodes)| nodes.len()))
+        .map(|site| BatchEvaluator::new(&site.compiled).with_cache(cache))
+        .collect()
+}
+
+/// Evaluates every `(site, page)` pair through its own site's
+/// evaluator, page-parallel.
+fn evaluate_sharded(
+    batches: &[BatchEvaluator],
+    pages: &[(usize, &Document)],
+    exec: &Executor,
+) -> Vec<Vec<Vec<aw_dom::NodeId>>> {
+    exec.map(pages, |&(s, page)| batches[s].evaluate(page))
+}
+
+fn eval_sharded(
+    batches: &[BatchEvaluator],
+    pages: &[(usize, &Document)],
+    exec: &Executor,
+) -> usize {
+    evaluate_sharded(batches, pages, exec)
+        .iter()
+        .flatten()
+        .map(Vec::len)
         .sum()
+}
+
+/// Replay statistics summed across per-site evaluators (cache on).
+fn replay_stats(batches: &[BatchEvaluator]) -> ReplayStats {
+    let mut total = ReplayStats::default();
+    for batch in batches {
+        total += batch
+            .template_cache()
+            .expect("cache enabled")
+            .replay_stats();
+    }
+    total
+}
+
+/// `(replayed, other)` page evaluations summed across per-site
+/// evaluators (cache on).
+fn cache_stats(batches: &[BatchEvaluator]) -> (u64, u64) {
+    batches
+        .iter()
+        .map(|batch| batch.template_cache().expect("cache enabled").stats())
+        .fold((0, 0), |(h, m), (bh, bm)| (h + bh, m + bm))
 }
 
 /// Best wall-clock of `passes` runs, in seconds.
@@ -225,14 +270,6 @@ fn num(n: f64) -> Value {
     Value::Number(n)
 }
 
-fn tagged_of(sites: &[SiteData]) -> Vec<(usize, CompiledXPath)> {
-    sites
-        .iter()
-        .enumerate()
-        .flat_map(|(s, site)| site.compiled.iter().cloned().map(move |c| (s, c)))
-        .collect()
-}
-
 fn pages_of(sites: &[SiteData]) -> Vec<(usize, &Document)> {
     sites
         .iter()
@@ -246,7 +283,7 @@ fn main() {
     // The established sharded metrics measure trie sharing alone, so the
     // template cache is off here; the repeated-template corpus below
     // measures it separately.
-    let sharded = ShardedBatch::new(tagged_of(&sites)).with_cache(false);
+    let sharded = site_batches(&sites, false);
     let pages: Vec<(usize, &Document)> = pages_of(&sites);
 
     // The deduplicated cross-site space the pre-sharding pipeline carried.
@@ -274,10 +311,10 @@ fn main() {
     // site-local workload), and the global trie against per-rule indexed
     // node totals on the global workload.
     let seq = Executor::new(1);
-    for (&(key, page), results) in pages.iter().zip(sharded.evaluate_pages(&pages, &seq)) {
+    for (&(key, page), results) in pages.iter().zip(evaluate_sharded(&sharded, &pages, &seq)) {
         let site = &sites[key];
         assert_eq!(results.len(), site.compiled.len());
-        for ((_, nodes), compiled) in results.iter().zip(&site.compiled) {
+        for (nodes, compiled) in results.iter().zip(&site.compiled) {
             assert_eq!(nodes, &evaluate_compiled(compiled, page), "site {key}");
         }
     }
@@ -304,10 +341,12 @@ fn main() {
         global_pairs,
         local_pairs,
     );
+    let sharded_steps: usize = sharded.iter().map(BatchEvaluator::distinct_steps).sum();
+    let sharded_variants: usize = sharded.iter().map(BatchEvaluator::distinct_variants).sum();
     println!(
         "sharded tries: {} bare steps / {} variants; global trie: {} / {}",
-        sharded.distinct_steps(),
-        sharded.distinct_variants(),
+        sharded_steps,
+        sharded_variants,
         global_batch.distinct_steps(),
         global_batch.distinct_variants(),
     );
@@ -337,14 +376,17 @@ fn main() {
     for (_, page) in &tpages {
         page.index();
     }
-    let t_nocache = ShardedBatch::new(tagged_of(&tsites)).with_cache(false);
-    let t_cached = ShardedBatch::new(tagged_of(&tsites));
+    let t_nocache = site_batches(&tsites, false);
+    let t_cached = site_batches(&tsites, true);
     for _ in 0..2 {
         // Two verification rounds: the first records traces, the second
         // exercises replay on every page.
-        for (&(key, page), results) in tpages.iter().zip(t_cached.evaluate_pages(&tpages, &seq)) {
+        for (&(key, page), results) in tpages
+            .iter()
+            .zip(evaluate_sharded(&t_cached, &tpages, &seq))
+        {
             let site = &tsites[key];
-            for ((_, nodes), compiled) in results.iter().zip(&site.compiled) {
+            for (nodes, compiled) in results.iter().zip(&site.compiled) {
                 assert_eq!(
                     nodes,
                     &evaluate_compiled(compiled, page),
@@ -353,7 +395,7 @@ fn main() {
             }
         }
     }
-    let (warm_hits, _) = t_cached.template_cache_stats().expect("cache enabled");
+    let (warm_hits, _) = cache_stats(&t_cached);
     assert!(warm_hits > 0, "template corpus produced no cache replays");
     let t_template_nocache = time(passes, &|| eval_sharded(&t_nocache, &tpages, &seq));
     let t_template_cached = time(passes, &|| eval_sharded(&t_cached, &tpages, &seq));
@@ -369,12 +411,15 @@ fn main() {
     for (_, page) in &vpages {
         page.index();
     }
-    let v_nocache = ShardedBatch::new(tagged_of(&vsites)).with_cache(false);
-    let v_cached = ShardedBatch::new(tagged_of(&vsites));
+    let v_nocache = site_batches(&vsites, false);
+    let v_cached = site_batches(&vsites, true);
     for _ in 0..2 {
-        for (&(key, page), results) in vpages.iter().zip(v_cached.evaluate_pages(&vpages, &seq)) {
+        for (&(key, page), results) in vpages
+            .iter()
+            .zip(evaluate_sharded(&v_cached, &vpages, &seq))
+        {
             let site = &vsites[key];
-            for ((_, nodes), compiled) in results.iter().zip(&site.compiled) {
+            for (nodes, compiled) in results.iter().zip(&site.compiled) {
                 assert_eq!(
                     nodes,
                     &evaluate_compiled(compiled, page),
@@ -384,16 +429,12 @@ fn main() {
         }
     }
     assert!(
-        v_cached
-            .template_replay_stats()
-            .expect("cache enabled")
-            .frame_replays
-            > 0,
+        replay_stats(&v_cached).frame_replays > 0,
         "varlen corpus never stitched a frame"
     );
     let t_varlen_nocache = time(passes, &|| eval_sharded(&v_nocache, &vpages, &seq));
     let t_varlen_cached = time(passes, &|| eval_sharded(&v_cached, &vpages, &seq));
-    let varlen_replay = v_cached.template_replay_stats().expect("cache enabled");
+    let varlen_replay = replay_stats(&v_cached);
 
     // ── Streaming parse→index ────────────────────────────────────────
     // Every request pays parse + DocIndex build + template fingerprint
@@ -899,7 +940,7 @@ fn main() {
         t_idx_local / t_shard,
         t_ref / t_gbatch,
     );
-    let (cache_hits, cache_misses) = t_cached.template_cache_stats().expect("cache enabled");
+    let (cache_hits, cache_misses) = cache_stats(&t_cached);
     println!(
         "repeated-template workload ({} sites x {} pages): sharded no-cache {:.3} ms, \
          template cache {:.3} ms ({:.1}x; {} replayed / {} other page evaluations)",
@@ -1007,14 +1048,8 @@ fn main() {
                 ("candidates_deduplicated", num(global_space.len() as f64)),
                 ("global_pairs", num(global_pairs as f64)),
                 ("site_local_pairs", num(local_pairs as f64)),
-                (
-                    "sharded_distinct_steps",
-                    num(sharded.distinct_steps() as f64),
-                ),
-                (
-                    "sharded_distinct_variants",
-                    num(sharded.distinct_variants() as f64),
-                ),
+                ("sharded_distinct_steps", num(sharded_steps as f64)),
+                ("sharded_distinct_variants", num(sharded_variants as f64)),
             ]),
         ),
         (

@@ -5,11 +5,12 @@
 //! tag, payload range), every attribute is a `(name symbol, value id)`
 //! pair in one attribute table, and all text, comment and attribute-value
 //! bytes live in one per-document text buffer. Nodes refer to each other
-//! with [`NodeId`] indices. Documents are built once (by the parser, the
-//! streaming builder in [`crate::stream`], or by hand through the
-//! builder methods) and then treated as immutable by every consumer —
-//! inductors, annotators and the ranking model — which makes node sets
-//! cheap to hash and compare.
+//! with [`NodeId`] indices. Documents are built once, by the parser or
+//! the streaming builder in [`crate::stream`], and are immutable from
+//! then on — inductors, annotators and the ranking model share them,
+//! which makes node sets cheap to hash and compare. Both builders
+//! allocate nodes in document order, so a node's id *is* its pre-order
+//! rank ([`Document::ids`] walks the document in pre-order).
 //!
 //! Tag and attribute names are interned ([`crate::interner`]); each
 //! document keeps its own small table of the `(Sym, &'static str)` pairs
@@ -39,7 +40,7 @@ impl NodeId {
     /// The synthetic root of every document.
     pub const ROOT: NodeId = NodeId(0);
 
-    /// Arena index as `usize`.
+    /// Arena index (= pre-order rank) as `usize`.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -357,17 +358,16 @@ pub struct Document {
     pub(crate) values: ValueTable,
     /// Text, comment and attribute-value bytes.
     pub(crate) text: String,
-    /// Child lists, derived from the parent links on first use and
-    /// reset by any mutation.
+    /// Child lists, derived from the parent links on first use.
     kids: OnceLock<Kids>,
-    /// Lazily-built evaluation index ([`Document::index`]); reset by any
-    /// mutation so readers never observe a stale index.
+    /// Lazily-built evaluation index ([`Document::index`]).
     index: OnceLock<IndexTables>,
 }
 
 impl Document {
-    /// Creates an empty document containing only the root node.
-    pub fn new() -> Self {
+    /// Creates an empty document containing only the root node, for the
+    /// classic parser to append to.
+    pub(crate) fn new() -> Self {
         Document {
             nodes: vec![NodeRec {
                 parent: NO_PARENT,
@@ -535,11 +535,13 @@ impl Document {
         self.rec(id).is_element()
     }
 
-    /// Appends a row under `parent`, dropping the derived tables.
+    /// Appends a row under `parent`. Rows are appended in document order
+    /// (the parser's only order), before anything derived is built.
     fn push(&mut self, parent: NodeId, name: u32, lo: usize, hi: usize) -> NodeId {
-        // Structure changes: drop the child lists and the index.
-        self.kids = OnceLock::new();
-        self.index = OnceLock::new();
+        debug_assert!(
+            self.kids.get().is_none() && self.index.get().is_none(),
+            "append to a built document"
+        );
         assert!(
             parent.index() < self.nodes.len(),
             "parent {parent:?} not in document"
@@ -555,21 +557,7 @@ impl Document {
     }
 
     /// Appends an element with attributes.
-    pub fn append_element(
-        &mut self,
-        parent: NodeId,
-        tag: impl AsRef<str>,
-        attrs: Vec<(String, String)>,
-    ) -> NodeId {
-        self.push_element(
-            parent,
-            tag.as_ref(),
-            attrs.iter().map(|(n, v)| (n.as_str(), v.as_str())),
-        )
-    }
-
-    /// [`Document::append_element`] over borrowed attributes.
-    pub(crate) fn push_element<'s>(
+    pub(crate) fn append_element<'s>(
         &mut self,
         parent: NodeId,
         tag: &str,
@@ -588,13 +576,13 @@ impl Document {
     }
 
     /// Appends a text node.
-    pub fn append_text(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
-        self.push_payload(parent, NAME_TEXT, text.as_ref())
+    pub(crate) fn append_text(&mut self, parent: NodeId, text: &str) -> NodeId {
+        self.push_payload(parent, NAME_TEXT, text)
     }
 
     /// Appends a comment.
-    pub fn append_comment(&mut self, parent: NodeId, body: impl AsRef<str>) -> NodeId {
-        self.push_payload(parent, NAME_COMMENT, body.as_ref())
+    pub(crate) fn append_comment(&mut self, parent: NodeId, body: &str) -> NodeId {
+        self.push_payload(parent, NAME_COMMENT, body)
     }
 
     fn push_payload(&mut self, parent: NodeId, name: u32, body: &str) -> NodeId {
@@ -635,11 +623,9 @@ impl Document {
         self.ancestors(id).count()
     }
 
-    /// Iterator over every node id in arena (= creation) order.
-    ///
-    /// Note: for documents built by the parser, or by the builder API
-    /// appending in document order, arena order coincides with pre-order
-    /// document order.
+    /// Iterator over every node id in document (pre-)order: ids are
+    /// allocated in document order, so this equals
+    /// [`Document::preorder_all`].
     pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)
     }
@@ -663,12 +649,8 @@ mod tests {
 
     fn sample() -> (Document, NodeId, NodeId, NodeId) {
         let mut d = Document::new();
-        let div = d.append_element(
-            NodeId::ROOT,
-            "div",
-            vec![("class".into(), "dealerlinks".into())],
-        );
-        let td = d.append_element(div, "td", vec![]);
+        let div = d.append_element(NodeId::ROOT, "div", [("class", "dealerlinks")]);
+        let td = d.append_element(div, "td", []);
         let t = d.append_text(td, "PORTER FURNITURE");
         (d, div, td, t)
     }
@@ -701,10 +683,10 @@ mod tests {
     #[test]
     fn same_tag_index_counts_only_same_tag() {
         let mut d = Document::new();
-        let tr = d.append_element(NodeId::ROOT, "tr", vec![]);
-        let td1 = d.append_element(tr, "td", vec![]);
-        let _span = d.append_element(tr, "span", vec![]);
-        let td2 = d.append_element(tr, "td", vec![]);
+        let tr = d.append_element(NodeId::ROOT, "tr", []);
+        let td1 = d.append_element(tr, "td", []);
+        let _span = d.append_element(tr, "span", []);
+        let td2 = d.append_element(tr, "td", []);
         assert_eq!(d.same_tag_index(td1), Some(1));
         assert_eq!(d.same_tag_index(td2), Some(2)); // span does not count
         assert_eq!(d.sibling_index(td2), Some(2));

@@ -88,13 +88,13 @@ pub fn parse(input: &str) -> Document {
             Token::Text(t) => {
                 let collapsed = collapse_whitespace(&t);
                 if !collapsed.is_empty() {
-                    doc.append_text(current(&open), collapsed);
+                    doc.append_text(current(&open), &collapsed);
                 }
             }
             Token::StartTag { name, self_closing } => {
                 apply_implied_closes(&mut open, &name);
                 let attrs = tokens.attrs().iter().map(|(n, v)| (&**n, &**v));
-                let id = doc.push_element(current(&open), &name, attrs);
+                let id = doc.append_element(current(&open), &name, attrs);
                 if !self_closing && !is_void(&name) {
                     open.push((id, name));
                 }

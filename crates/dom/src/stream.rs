@@ -8,12 +8,11 @@
 //! immediately evaluates compiled xpaths against the index, so fusing
 //! the two passes roughly halves the pre-evaluation cost per page.
 //!
-//! The fusion works because parser-built arenas allocate nodes in
+//! The fusion works because every document allocates its nodes in
 //! document order, so **arena index = pre-order rank** and every index
 //! table can be filled at the tree-construction event that determines it:
 //!
-//! * ranks need no table at all: a document whose arena order is
-//!   pre-order stores no rank maps ([`DocIndex::ranks_monotone`]);
+//! * ranks need no table at all: a node's rank is its id;
 //! * posting lists (element / text) are appended at open events —
 //!   creation order is rank order, so they are sorted by construction;
 //!   the per-tag postings are one CSR array, grouped by a counting pass
@@ -42,8 +41,9 @@
 //! The tree-repair rules are the parser's, sharing its private
 //! `implied_closes` / `is_scope_boundary` / `is_void` tables (via the
 //! per-thread `TagInfo` cache), but the construction loop is deliberately
-//! *duplicated*, not shared: `parse` (through the [`Document`] builder
-//! methods) plus the classic index build stay an independent
+//! *duplicated*, not shared: `parse` (through the crate-private
+//! [`Document`] append methods) plus the classic index build stay an
+//! independent
 //! differential oracle that fills the same representation, and the
 //! robustness/differential suites assert byte-identical output between
 //! the two paths on arbitrary markup — the same relationship the
@@ -64,10 +64,7 @@ use crate::tokenizer::{Attr, Token, Tokenizer};
 /// A [`Document`] whose evaluation index was built during parsing.
 ///
 /// Dereferences to [`Document`]; [`Document::index`] returns the
-/// pre-built index without a second traversal. The usual invalidation
-/// contract is untouched: mutating the document afterwards (via
-/// [`Document::append_element`] and friends) drops the streamed index
-/// and the next [`Document::index`] call rebuilds lazily.
+/// pre-built index without a second traversal.
 #[derive(Clone, Debug)]
 pub struct IndexedDocument {
     doc: Document,
@@ -395,7 +392,7 @@ impl StreamIndexer {
             }
         };
         // Value ids are dense first-seen, which in creation order
-        // matches the builder methods' append order.
+        // matches the classic parser's append order.
         let lo = self.attrs.len();
         for (aname, value) in attrs {
             let (ainfo, _) = self.attr_names.get(aname, &mut self.names, self.page);
@@ -508,8 +505,6 @@ impl StreamIndexer {
             self.text.clone(),
         );
         let tables = IndexTables {
-            rank: Vec::new(),
-            by_rank: Vec::new(),
             subtree_end: self.subtree_end.clone(),
             pos: self.pos.clone(),
             tags,
@@ -532,7 +527,6 @@ impl StreamIndexer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::NodeId;
     use crate::parser::parse;
     use crate::serialize;
 
@@ -548,12 +542,12 @@ mod tests {
         );
         assert_eq!(streamed.len(), oracle.len());
         let (si, oi) = (streamed.index(), oracle.index());
-        assert_eq!(si.ranks_monotone(), oi.ranks_monotone());
+        assert!(streamed.preorder_all().eq(streamed.ids()));
+        assert!(oracle.preorder_all().eq(oracle.ids()));
         assert_eq!(si.element_postings(), oi.element_postings());
         assert_eq!(si.text_postings(), oi.text_postings());
         for id in streamed.ids() {
-            assert_eq!(si.rank_of(id), oi.rank_of(id));
-            assert_eq!(si.subtree(si.rank_of(id)), oi.subtree(oi.rank_of(id)));
+            assert_eq!(si.subtree(id.0), oi.subtree(id.0));
             assert_eq!(si.tag_sym(id), oi.tag_sym(id));
             assert_eq!(si.same_tag_pos(id), oi.same_tag_pos(id));
             assert_eq!(si.elem_pos(id), oi.elem_pos(id));
@@ -671,17 +665,13 @@ mod tests {
     }
 
     #[test]
-    fn index_survives_into_document_and_mutation_invalidates() {
+    fn index_survives_into_document() {
         let streamed = parse_indexed("<div><p>a</p></div>");
         let fp = streamed.index().template_fingerprint();
-        let mut doc = streamed.into_document();
+        let doc = streamed.into_document();
         // The streamed index rides along — same cached object.
         assert_eq!(doc.index().template_fingerprint(), fp);
-        // Mutation drops it; the rebuilt (classic) index sees the change.
-        let div = doc.children(NodeId::ROOT)[0];
-        doc.append_element(div, "span", vec![]);
-        assert_ne!(doc.index().template_fingerprint(), fp);
-        assert_eq!(doc.index().element_postings().len(), 3);
+        assert_eq!(doc.index().element_postings().len(), 2);
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod top_down;
 
 pub use bottom_up::bottom_up;
 pub use naive::{naive, naive_call_count, NAIVE_MAX_LABELS};
-pub use space::{sharded_xpath_space, EnumeratedWrapper, EnumerationResult};
+pub use space::{EnumeratedWrapper, EnumerationResult};
 pub use top_down::top_down;

@@ -48,7 +48,9 @@ impl<T: Ord + Copy + Debug> EnumerationResult<T> {
     }
 
     /// The candidate set as parsed xpaths, for shared-prefix batch
-    /// evaluation (`aw_xpath::BatchEvaluator`, `aw_rank::score_xpath_spaces`).
+    /// evaluation: one `aw_xpath::BatchEvaluator` per site, applied to
+    /// that site's pages (`aw_rank::score_xpath_spaces` takes the paths
+    /// of many sites this way).
     ///
     /// Each entry pairs the wrapper's index in [`Self::wrappers`] with its
     /// rule parsed back from display form. Wrappers whose rules are not in
@@ -61,32 +63,6 @@ impl<T: Ord + Copy + Debug> EnumerationResult<T> {
             .filter_map(|(i, w)| aw_xpath::parse_xpath(&w.rule).ok().map(|xp| (i, xp)))
             .collect()
     }
-}
-
-/// Flattens many sites' enumerated spaces into one candidate set tagged
-/// by site index, ready for site-sharded batch evaluation
-/// (`aw_xpath::ShardedBatch::new`).
-///
-/// The i-th space gets shard key `i`; within a site, candidates keep
-/// their [`EnumerationResult::xpath_candidates`] order, so the global
-/// slot of candidate `c` of site `s` is
-/// `sites[..s].candidate_counts.sum() + c`. Non-XPATH spaces contribute
-/// nothing (their rules are not in the fragment).
-pub fn sharded_xpath_space<'a, T, I>(spaces: I) -> Vec<(usize, aw_xpath::CompiledXPath)>
-where
-    T: Ord + Copy + Debug + 'a,
-    I: IntoIterator<Item = &'a EnumerationResult<T>>,
-{
-    spaces
-        .into_iter()
-        .enumerate()
-        .flat_map(|(site, space)| {
-            space
-                .xpath_candidates()
-                .into_iter()
-                .map(move |(_, xp)| (site, aw_xpath::CompiledXPath::compile(&xp)))
-        })
-        .collect()
 }
 
 /// Accumulates wrappers, deduplicating by extraction.
@@ -173,44 +149,6 @@ mod tests {
         let space = crate::top_down(&t, &labels);
         assert!(!space.is_empty());
         assert!(space.xpath_candidates().is_empty());
-    }
-
-    #[test]
-    fn sharded_space_tags_each_sites_candidates() {
-        use aw_induct::{Site, XPathInductor};
-
-        let mk = |htmls: &[&str], texts: &[&str]| -> (Site, Vec<String>) {
-            (
-                Site::from_html(htmls),
-                texts.iter().map(|s| s.to_string()).collect(),
-            )
-        };
-        let (site_a, texts_a) = mk(
-            &["<div class='list'><tr><td><u>ALPHA</u></td></tr>\
-               <tr><td><u>BETA</u></td></tr></div>"],
-            &["ALPHA", "BETA"],
-        );
-        let (site_b, texts_b) = mk(
-            &["<table><tr><td><b>OMEGA</b></td></tr><tr><td><b>SIGMA</b></td></tr></table>"],
-            &["OMEGA", "SIGMA"],
-        );
-        let space_of = |site: &Site, texts: &[String]| {
-            let ind = XPathInductor::new(site);
-            let labels: ItemSet<aw_dom::PageNode> =
-                texts.iter().flat_map(|t| site.find_text(t)).collect();
-            crate::top_down(&ind, &labels)
-        };
-        let sa = space_of(&site_a, &texts_a);
-        let sb = space_of(&site_b, &texts_b);
-        let tagged = sharded_xpath_space([&sa, &sb]);
-        assert_eq!(tagged.len(), sa.len() + sb.len());
-        // Site-major tagging: site 0's candidates first, then site 1's.
-        assert!(tagged[..sa.len()].iter().all(|(k, _)| *k == 0));
-        assert!(tagged[sa.len()..].iter().all(|(k, _)| *k == 1));
-        // Tags line up with xpath_candidates order.
-        for ((_, compiled), (_, xp)) in tagged[..sa.len()].iter().zip(sa.xpath_candidates()) {
-            assert_eq!(compiled, &aw_xpath::CompiledXPath::compile(&xp));
-        }
     }
 
     #[test]

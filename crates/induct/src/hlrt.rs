@@ -5,7 +5,11 @@
 //!
 //! Learning: `l`/`r` exactly as LR; `h` is the longest common prefix of
 //! the page regions *before the first label* on each labeled page, and `t`
-//! the longest common suffix of the regions *after the last label*.
+//! the longest common suffix of the regions *after the last label*. Both
+//! are trimmed to markup boundaries — `h` ends just after its last `>`,
+//! `t` starts at its first `<` — so neither keeps record text that only
+//! happens to agree across the training pages (a tail learned from rows
+//! ending "1 Elm" and "101 Elm" must not demand "1 Elm" of a fresh page).
 //! Extraction runs the LR scan restricted to the region after the first
 //! occurrence of `h` and before the following occurrence of `t`.
 //!
@@ -107,11 +111,11 @@ impl<'a> HlrtInductor<'a> {
         let tlen = common_suffix_len(&tails).min(self.region_cap);
         let head = heads
             .first()
-            .map(|s| char_floor(s, hlen).to_string())
+            .map(|s| markup_head(char_floor(s, hlen)).to_string())
             .unwrap_or_default();
         let tail = tails
             .first()
-            .map(|s| char_tail(s, tlen).to_string())
+            .map(|s| markup_tail(char_tail(s, tlen)).to_string())
             .unwrap_or_default();
         HlrtRule {
             head,
@@ -169,6 +173,16 @@ fn char_tail(s: &str, n: usize) -> &str {
         i += 1;
     }
     &s[i..]
+}
+
+/// `head` up to and including its last `>` (empty if it has none).
+fn markup_head(head: &str) -> &str {
+    head.rfind('>').map_or("", |i| &head[..=i])
+}
+
+/// `tail` from its first `<` on (empty if it has none).
+fn markup_tail(tail: &str) -> &str {
+    tail.find('<').map_or("", |i| &tail[i..])
 }
 
 impl WrapperInductor for HlrtInductor<'_> {
@@ -267,6 +281,29 @@ mod tests {
         let site = site_with_chrome();
         let ind = HlrtInductor::new(&site);
         assert!(ind.extract(&ItemSet::new()).is_empty());
+    }
+
+    #[test]
+    fn head_and_tail_exclude_record_text() {
+        // The last rows' streets end alike ("1 Elm" / "101 Elm"), so the
+        // raw common suffix after the last label starts with "1 Elm".
+        let site = Site::from_html(&[
+            "<h1>Dealers</h1><table><tr><td><b>ALPHA</b></td><td>1 Elm</td></tr></table>\
+             <p>footer</p>",
+            "<h1>Dealers</h1><table><tr><td><b>BETA</b></td><td>5 Oak</td></tr>\
+             <tr><td><b>GAMMA</b></td><td>101 Elm</td></tr></table><p>footer</p>",
+        ]);
+        let rule = HlrtInductor::new(&site).learn(&labels_of(&site, &["ALPHA", "BETA", "GAMMA"]));
+        assert!(rule.head.ends_with('>'), "{rule}");
+        assert!(rule.tail.starts_with('<'), "{rule}");
+        // A fresh page of the same script whose last row reads "12 Elm".
+        let fresh = Site::from_html(&[
+            "<h1>Dealers</h1><table><tr><td><b>DELTA</b></td><td>7 Fir</td></tr>\
+             <tr><td><b>EPSILON</b></td><td>12 Elm</td></tr></table><p>footer</p>",
+        ]);
+        let out = HlrtInductor::new(&fresh).apply(&rule);
+        let texts: Vec<&str> = out.iter().map(|&n| fresh.text_of(n).unwrap()).collect();
+        assert_eq!(texts, vec!["DELTA", "EPSILON"], "{rule}");
     }
 
     #[test]

@@ -771,7 +771,8 @@ impl ExtractResponse {
 ///
 /// `&ExtractionService` is `Sync`: any number of threads call
 /// [`ExtractionService::handle`] simultaneously (the HTTP front end in
-/// `aw-serve` does exactly that, one connection per worker). Responses
+/// `aw-serve` does exactly that: its reactor thread feeds parsed
+/// requests to a team of service worker threads). Responses
 /// are deterministic — byte-identical to sequential evaluation at every
 /// thread count and cache setting.
 #[derive(Debug)]

@@ -4,8 +4,9 @@
 //! cores, returning outputs **in input order**, bit-for-bit identical at
 //! every thread count. It is a **persistent work-stealing pool**
 //! (per-worker deques, chunked claiming, a shared injector) that nested
-//! parallel loops feed cooperatively. The engine, the xpath batch/shard
-//! layers, rule-set replay and the experiment harness route through it
+//! parallel loops feed cooperatively. The engine, per-site xpath batch
+//! scoring, deployed-wrapper crawl extraction and the experiment harness
+//! route through it
 //! ([`Executor::global`] by default): site-level and page-level work
 //! items interleave in one pool instead of nested thread teams
 //! oversubscribing each other. See the [`executor`] module docs for the

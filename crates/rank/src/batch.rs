@@ -1,4 +1,4 @@
-//! Site-sharded batch scoring of xpath candidate sets.
+//! Per-site batch scoring of xpath candidate sets.
 //!
 //! Ranking a wrapper space means computing each candidate's extraction
 //! over every page of the site, then scoring it (Equation 1).
@@ -6,17 +6,17 @@
 //! which for XPATH are exactly what the rendered xpaths select, so it
 //! needs no second pass. [`score_xpath_spaces`] is that second pass made
 //! cheap: it re-evaluates many sites' rendered candidates through one
-//! prefix trie per site ([`ShardedBatch`]), page-parallel and
+//! prefix trie per site ([`BatchEvaluator`]), page-parallel and
 //! template-cached, and scores them. It is kept as the reference that
 //! deployed extractions are checked against.
 
 use crate::scorer::{RankingModel, WrapperScore};
-use aw_dom::{Document, PageNode};
+use aw_dom::PageNode;
 use aw_induct::{NodeSet, Site};
 use aw_pool::Executor;
-use aw_xpath::{CompiledXPath, ShardedBatch, XPath};
+use aw_xpath::{BatchEvaluator, XPath};
 
-/// One site's candidate space for multi-site sharded scoring.
+/// One site's candidate space for multi-site scoring.
 #[derive(Clone, Copy)]
 pub struct SiteSpace<'a> {
     /// The site the space was enumerated on.
@@ -27,12 +27,12 @@ pub struct SiteSpace<'a> {
     pub paths: &'a [XPath],
 }
 
-/// Scores many sites' candidate spaces in one site-sharded,
-/// page-parallel pass: per-site tries for extraction (template-cached
-/// when `cache` is on), then Equation 1 per candidate (also through the
-/// executor). `out[s]` is aligned with `spaces[s].paths`: each entry is
-/// the candidate's union over site `s`'s pages and
-/// [`RankingModel::score`] of it. Output is deterministic at every
+/// Scores many sites' candidate spaces in one page-parallel pass: one
+/// [`BatchEvaluator`] per site for extraction (template-cached when
+/// `cache` is on), each applied only to its own site's pages, then
+/// Equation 1 per candidate (also through the executor). `out[s]` is
+/// aligned with `spaces[s].paths`: each entry is the candidate's union
+/// over site `s`'s pages and [`RankingModel::score`] of it. Output is deterministic at every
 /// thread count and nests inside site-parallel loops on the same
 /// executor.
 pub fn score_xpath_spaces(
@@ -41,34 +41,28 @@ pub fn score_xpath_spaces(
     exec: &Executor,
     cache: bool,
 ) -> Vec<Vec<(NodeSet, WrapperScore)>> {
-    // Global slots are site-major: site s's paths occupy
-    // offsets[s] .. offsets[s] + paths_s.
-    let mut offsets = Vec::with_capacity(spaces.len());
-    let mut tagged: Vec<(usize, CompiledXPath)> = Vec::new();
-    for (s, space) in spaces.iter().enumerate() {
-        offsets.push(tagged.len());
-        tagged.extend(space.paths.iter().map(|p| (s, CompiledXPath::compile(p))));
-    }
-    let batch = ShardedBatch::new(tagged).with_cache(cache);
-
-    let pages: Vec<(usize, u32, &Document)> = spaces
+    let batches: Vec<BatchEvaluator> = spaces
+        .iter()
+        .map(|space| BatchEvaluator::from_xpaths(space.paths).with_cache(cache))
+        .collect();
+    // A site without candidates has nothing to evaluate on its pages.
+    let pages: Vec<(usize, u32)> = spaces
         .iter()
         .enumerate()
-        .flat_map(|(s, space)| {
-            (0..space.site.page_count() as u32).map(move |p| (s, p, space.site.page(p)))
-        })
+        .filter(|(_, space)| !space.paths.is_empty())
+        .flat_map(|(s, space)| (0..space.site.page_count() as u32).map(move |p| (s, p)))
         .collect();
-    let per_page = exec.map(&pages, |&(key, _, doc)| batch.evaluate_page(key, doc));
+    let per_page = exec.map(&pages, |&(s, p)| {
+        batches[s].evaluate(spaces[s].site.page(p))
+    });
 
     let mut extractions: Vec<Vec<NodeSet>> = spaces
         .iter()
         .map(|space| vec![NodeSet::new(); space.paths.len()])
         .collect();
-    for (&(s, p, _), results) in pages.iter().zip(per_page) {
-        for (slot, nodes) in results {
-            // A page's results only name its own shard's slots.
-            let local = slot as usize - offsets[s];
-            extractions[s][local].extend(nodes.into_iter().map(|id| PageNode::new(p, id)));
+    for (&(s, p), results) in pages.iter().zip(per_page) {
+        for (x, nodes) in extractions[s].iter_mut().zip(results) {
+            x.extend(nodes.into_iter().map(|id| PageNode::new(p, id)));
         }
     }
 
@@ -230,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scoring_matches_reference_at_every_thread_count_and_cache_setting() {
+    fn multi_site_scoring_matches_reference_at_every_thread_count_and_cache_setting() {
         let a = dealer_site();
         let b = stores_site();
         let pa = space();

@@ -14,8 +14,9 @@
 //! Applications reach this crate through `aw_core::Engine`
 //! (`engine.rank`, `engine.learn_sites`), which scores the extractions
 //! enumeration produced with [`RankingModel::score`]. [`batch`] keeps
-//! [`score_xpath_spaces`], a site-sharded re-evaluation of rendered xpath
-//! candidates, as the reference those extractions are checked against.
+//! [`score_xpath_spaces`], a per-site batch re-evaluation of rendered
+//! xpath candidates, as the reference those extractions are checked
+//! against.
 
 pub mod annotation;
 pub mod batch;

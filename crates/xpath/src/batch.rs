@@ -19,9 +19,10 @@
 //!
 //! The evaluator is built once per candidate set and applied to any
 //! number of pages — compile cost and trie construction amortize across
-//! a whole site. For a multi-site candidate set, shard it per site first
-//! ([`crate::ShardedBatch`]): prefix sharing is strongest within one
-//! site's space.
+//! a whole site. For a multi-site candidate set, build one evaluator per
+//! site and apply each only to its own site's pages: prefix sharing is
+//! strongest within one site's space, and a wrapper learned on site *S*
+//! only ever extracts from pages of *S*.
 //!
 //! ## Cross-page template replay
 //!
@@ -35,8 +36,8 @@
 //! the recorded sets instead of traversing:
 //!
 //! * bare `(axis, test)` node-sets and `[k]` position selections are
-//!   structure-determined, so they transfer verbatim (ranks are remapped
-//!   to this page's `NodeId`s at materialization);
+//!   structure-determined, so they transfer verbatim (a rank is a
+//!   `NodeId` index on every page, so they materialize as they are);
 //! * `[@a='v']` selections are **re-filtered per page** (the fingerprint
 //!   ignores attribute values) over the cached bare set — integer
 //!   compares only — and the subtrie below stays on the replay path only
@@ -644,9 +645,9 @@ impl BatchEvaluator {
 
     /// The direct evaluation path (no trace involved).
     fn evaluate_plain(&self, doc: &Document, idx: DocIndex<'_>, out: &mut [Vec<NodeId>]) {
-        let root_ctx: Vec<u32> = vec![idx.rank_of(doc.root())];
+        let root_ctx: Vec<u32> = vec![doc.root().0];
         for &t in &self.root.terminals {
-            out[t as usize] = materialize(idx, &root_ctx);
+            out[t as usize] = materialize(&root_ctx);
         }
 
         // Depth-first over the trie, carrying the context node-set of the
@@ -700,7 +701,7 @@ impl BatchEvaluator {
                     continue;
                 }
                 for &t in &variant.terminals {
-                    out[t as usize] = materialize(idx, &selected);
+                    out[t as usize] = materialize(&selected);
                 }
                 if let Some((&last_child, rest)) = variant.children.split_last() {
                     for &c in rest {
@@ -726,9 +727,9 @@ impl BatchEvaluator {
         out: &mut [Vec<NodeId>],
     ) -> Trace {
         let mut trace = Trace::empty(self.nodes.len(), self.n_variants as usize);
-        let root_ctx: Arc<Vec<u32>> = Arc::new(vec![idx.rank_of(doc.root())]);
+        let root_ctx: Arc<Vec<u32>> = Arc::new(vec![doc.root().0]);
         for &t in &self.root.terminals {
-            out[t as usize] = materialize(idx, &root_ctx);
+            out[t as usize] = materialize(&root_ctx);
         }
         let mut stack: Vec<(u32, Arc<Vec<u32>>)> = self
             .root
@@ -761,7 +762,7 @@ impl BatchEvaluator {
                     continue;
                 }
                 for &t in &variant.terminals {
-                    out[t as usize] = materialize(idx, &selected);
+                    out[t as usize] = materialize(&selected);
                 }
                 for &c in &variant.children {
                     stack.push((c, Arc::clone(&selected)));
@@ -796,9 +797,9 @@ impl BatchEvaluator {
             Fresh(Arc<Vec<u32>>),
         }
 
-        let root_ctx: Vec<u32> = vec![idx.rank_of(doc.root())];
+        let root_ctx: Vec<u32> = vec![doc.root().0];
         for &t in &self.root.terminals {
-            out[t as usize] = materialize(idx, &root_ctx);
+            out[t as usize] = materialize(&root_ctx);
         }
         let mut stack: Vec<(u32, Ctx)> = self
             .root
@@ -834,7 +835,7 @@ impl BatchEvaluator {
                                 continue;
                             }
                             for &t in &variant.terminals {
-                                out[t as usize] = materialize(idx, selected);
+                                out[t as usize] = materialize(selected);
                             }
                             for &c in &variant.children {
                                 stack.push((c, Ctx::Trusted));
@@ -854,7 +855,7 @@ impl BatchEvaluator {
                                 continue;
                             }
                             for &t in &variant.terminals {
-                                out[t as usize] = materialize(idx, &fresh);
+                                out[t as usize] = materialize(&fresh);
                             }
                             if agrees {
                                 for &c in &variant.children {
@@ -887,7 +888,7 @@ impl BatchEvaluator {
                             continue;
                         }
                         for &t in &variant.terminals {
-                            out[t as usize] = materialize(idx, &selected);
+                            out[t as usize] = materialize(&selected);
                         }
                         let shared = Arc::new(selected);
                         for &c in &variant.children {
@@ -982,9 +983,9 @@ impl BatchEvaluator {
         // roster shape into a verbatim replay.
         let mut promo = Trace::empty(self.nodes.len(), self.n_variants as usize);
 
-        let root_ctx: Arc<Vec<u32>> = Arc::new(vec![idx.rank_of(doc.root())]);
+        let root_ctx: Arc<Vec<u32>> = Arc::new(vec![doc.root().0]);
         for &t in &self.root.terminals {
-            out[t as usize] = materialize(idx, &root_ctx);
+            out[t as usize] = materialize(&root_ctx);
         }
         let mut stack: Vec<(u32, PCtx)> = self
             .root
@@ -1024,7 +1025,7 @@ impl BatchEvaluator {
                     }
                     promo.selected[variant.gid as usize] = Some(Arc::clone(&selected));
                     for &t in &variant.terminals {
-                        out[t as usize] = materialize(idx, &selected);
+                        out[t as usize] = materialize(&selected);
                     }
                     for &c in &variant.children {
                         stack.push((c, PCtx::Fresh(Arc::clone(&selected))));
@@ -1051,7 +1052,7 @@ impl BatchEvaluator {
                     }
                     promo.selected[variant.gid as usize] = Some(Arc::clone(&bare));
                     for &t in &variant.terminals {
-                        out[t as usize] = materialize(idx, &bare);
+                        out[t as usize] = materialize(&bare);
                     }
                     for &c in &variant.children {
                         stack.push((c, PCtx::Trusted(Arc::clone(&bare))));
@@ -1076,7 +1077,7 @@ impl BatchEvaluator {
                         continue;
                     }
                     for &t in &variant.terminals {
-                        out[t as usize] = materialize(idx, &fresh);
+                        out[t as usize] = materialize(&fresh);
                     }
                     let shared = Arc::new(fresh);
                     promo.selected[variant.gid as usize] = Some(Arc::clone(&shared));

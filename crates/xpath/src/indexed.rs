@@ -1,7 +1,7 @@
 //! The index-backed evaluation engine.
 //!
 //! Operates entirely in **pre-order rank space** over a
-//! [`aw_dom::DocIndex`]:
+//! [`aw_dom::DocIndex`] (a node's rank is its `NodeId` index):
 //!
 //! * `//tag` steps intersect the tag's posting list with the context
 //!   nodes' subtree rank ranges (binary search per range — no tree walk);
@@ -29,36 +29,29 @@ pub fn evaluate_compiled(path: &CompiledXPath, doc: &Document) -> Vec<NodeId> {
         return Vec::new();
     }
     let idx = doc.index();
-    let mut ctx: Vec<u32> = vec![idx.rank_of(doc.root())];
+    let mut ctx: Vec<u32> = vec![doc.root().0];
     for step in &path.steps {
         ctx = apply_step(doc, idx, &ctx, step);
         if ctx.is_empty() {
             break;
         }
     }
-    materialize(idx, &ctx)
+    materialize(&ctx)
 }
 
-/// Converts a rank-space node set into sorted `NodeId`s (the reference
-/// interpreter's output order).
+/// Converts a rank-space node set into `NodeId`s in document order (the
+/// reference interpreter's output order).
 ///
 /// `ranks` must be ascending — every engine-side node set is (steps,
-/// trie fan-outs and template-cache traces all preserve rank order), so
-/// for parser-built documents, where arena order equals rank order
-/// ([`DocIndex::ranks_monotone`]), the mapped `NodeId`s come out already
-/// sorted and the per-page sort is skipped. Template-cache replay
-/// materializes every cached set through here, making that its per-page
-/// fast path.
-pub(crate) fn materialize(idx: DocIndex<'_>, ranks: &[u32]) -> Vec<NodeId> {
+/// trie fan-outs and template-cache traces all preserve rank order) —
+/// and ranks are ids, so the mapped `NodeId`s come out sorted.
+/// Template-cache replay materializes every cached set through here.
+pub(crate) fn materialize(ranks: &[u32]) -> Vec<NodeId> {
     debug_assert!(
         ranks.windows(2).all(|w| w[0] < w[1]),
         "materialize expects an ascending rank set"
     );
-    let mut out: Vec<NodeId> = ranks.iter().map(|&r| idx.node_at(r)).collect();
-    if !idx.ranks_monotone() {
-        out.sort_unstable();
-    }
-    out
+    ranks.iter().map(|&r| NodeId(r)).collect()
 }
 
 /// A step's predicates resolved against one document, so the per-node
@@ -142,7 +135,7 @@ pub(crate) fn filter_resolved(
     ranks
         .iter()
         .copied()
-        .filter(|&r| passes_resolved(idx, idx.node_at(r), test, preds))
+        .filter(|&r| passes_resolved(idx, NodeId(r), test, preds))
         .collect()
 }
 
@@ -160,10 +153,9 @@ fn step_nodes(
     match axis {
         crate::ast::Axis::Child => {
             for &r in context {
-                let node = idx.node_at(r);
-                for &c in doc.children(node) {
+                for &c in doc.children(NodeId(r)) {
                     if matches_test(doc, idx, c, test) && keep(c) {
-                        out.push(idx.rank_of(c));
+                        out.push(c.0);
                     }
                 }
             }
@@ -190,7 +182,7 @@ fn step_nodes(
                 for &p in &postings[from..to] {
                     // Posting-list membership already established the
                     // node test.
-                    if keep(idx.node_at(p)) {
+                    if keep(NodeId(p)) {
                         out.push(p);
                     }
                 }

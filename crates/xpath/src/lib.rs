@@ -43,20 +43,23 @@
 //!   one traversal and fan out integer-only filters), and each
 //!   intermediate context node-set is reused by all candidates below it.
 //!
-//! [`ShardedBatch`] extends the batch engine to multi-site candidate
-//! sets: one trie per site (prefix sharing is strongest within a site's
-//! space), each applied only to its own site's pages, page-parallel
-//! through the shared work-stealing [`aw_pool::Executor`]. Both batch
-//! engines keep a cross-page [`TemplateCache`]: pages sharing a
-//! structural template fingerprint
+//! A multi-site candidate set gets one [`BatchEvaluator`] per site, each
+//! applied only to its own site's pages (prefix sharing is strongest
+//! within a site's space, and a wrapper learned on one site never runs on
+//! another's pages); pages are independent, so callers map them through
+//! the shared work-stealing `aw_pool::Executor`. Every
+//! [`BatchEvaluator`] keeps a cross-page [`TemplateCache`]: pages sharing
+//! a structural template fingerprint
 //! ([`aw_dom::DocIndex::template_fingerprint`]) replay one page's bare
 //! traversals instead of recomputing them — the template-replay fast
 //! path for structurally near-identical pages of one site.
 //!
+//! All engines work in pre-order rank space, and a node's rank is its
+//! [`aw_dom::NodeId`] index: documents are built in document order.
+//!
 //! [`evaluate`] is the one-shot convenience (compile + indexed evaluate).
 //! Use [`CompiledXPath::compile`] + [`evaluate_compiled`] to apply one
-//! rule to many pages, [`BatchEvaluator`] for many rules, and
-//! [`ShardedBatch`] for many rules across many sites.
+//! rule to many pages, and [`BatchEvaluator`] for many rules.
 //!
 //! ```
 //! use aw_dom::parse;
@@ -87,7 +90,6 @@ pub mod eval;
 pub mod indexed;
 pub mod parser;
 pub mod reference;
-pub mod shard;
 
 pub use ast::{Axis, NodeTest, Predicate, Step, XPath};
 pub use batch::{BatchEvaluator, ReplayStats, TemplateCache};
@@ -95,4 +97,3 @@ pub use compile::{CompiledPred, CompiledStep, CompiledTest, CompiledXPath};
 pub use eval::evaluate;
 pub use indexed::evaluate_compiled;
 pub use parser::{parse_xpath, ParseError};
-pub use shard::ShardedBatch;

@@ -45,7 +45,7 @@
 //! | Crate (lib name) | Directory | Role |
 //! |---|---|---|
 //! | [`aw_dom`] | `crates/dom` | lenient HTML tokenizer + tidy-style parser + arena DOM |
-//! | [`aw_xpath`] | `crates/xpath` | the xpath fragment, compiled/batch/sharded engines |
+//! | [`aw_xpath`] | `crates/xpath` | the xpath fragment, compiled and batch engines |
 //! | [`aw_align`] | `crates/align` | LCS, edit distance, affixes, kernel density estimation |
 //! | [`aw_induct`] | `crates/induct` | wrapper inductors: TABLE, LR, HLRT, XPATH |
 //! | [`aw_enum`] | `crates/enumerate` | wrapper-space enumeration (Naive / BottomUp / TopDown) |

@@ -220,15 +220,16 @@ proptest! {
         prop_assert_eq!(serialize(&streamed), serialize(&oracle));
         prop_assert_eq!(streamed.len(), oracle.len());
         let (si, oi) = (streamed.index(), oracle.index());
-        prop_assert_eq!(si.ranks_monotone(), oi.ranks_monotone());
+        // Both paths build documents in pre-order: ids are ranks.
+        prop_assert!(streamed.preorder_all().eq(streamed.ids()));
+        prop_assert!(oracle.preorder_all().eq(oracle.ids()));
         prop_assert_eq!(si.element_postings(), oi.element_postings());
         prop_assert_eq!(si.text_postings(), oi.text_postings());
         for id in streamed.ids() {
             prop_assert_eq!(streamed.kind(id), oracle.kind(id));
             prop_assert_eq!(streamed.parent(id), oracle.parent(id));
             prop_assert_eq!(streamed.children(id), oracle.children(id));
-            prop_assert_eq!(si.rank_of(id), oi.rank_of(id));
-            prop_assert_eq!(si.subtree(si.rank_of(id)), oi.subtree(oi.rank_of(id)));
+            prop_assert_eq!(si.subtree(id.0), oi.subtree(id.0));
             prop_assert_eq!(si.tag_sym(id), oi.tag_sym(id));
             prop_assert_eq!(si.same_tag_pos(id), oi.same_tag_pos(id));
             prop_assert_eq!(si.elem_pos(id), oi.elem_pos(id));

@@ -11,13 +11,14 @@
 //! * learned rules: every wrapper enumerated from noisy labels on a
 //!   dealer site, replayed through single and batch evaluation;
 //! * whole random candidate sets through one predicate-aware batch trie,
-//!   and site-sharded page-parallel evaluation across thread counts.
+//!   and one batch evaluator per site driven page-parallel across thread
+//!   counts.
 
-use aw_dom::Document;
+use aw_dom::{Document, NodeId};
 use aw_eval::Executor;
-use aw_sitegen::{generate_dealers, generate_disc, DealersConfig, DiscConfig};
+use aw_sitegen::{generate_dealers, generate_disc, DealersConfig, DealersDataset, DiscConfig};
 use aw_xpath::{
-    reference, Axis, BatchEvaluator, CompiledXPath, NodeTest, Predicate, ShardedBatch, Step, XPath,
+    reference, Axis, BatchEvaluator, CompiledXPath, NodeTest, Predicate, ReplayStats, Step, XPath,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -106,6 +107,106 @@ fn assert_engines_agree(doc: &Document, path: &XPath) {
     let batch = BatchEvaluator::new(&[compiled]);
     let batched = batch.evaluate(doc).remove(0);
     assert_eq!(batched, expected, "batch engine differs for {path}");
+}
+
+/// Per-page node lists: `results[i][j]` is path `j` of page `i`'s site.
+type PageResults = Vec<Vec<Vec<NodeId>>>;
+
+/// Each site's candidate xpaths, enumerated from dictionary labels.
+fn enumerated_site_paths(ds: &DealersDataset) -> Vec<Vec<XPath>> {
+    use aw_annotate::{DictionaryAnnotator, MatchMode};
+    use aw_induct::{NodeSet, XPathInductor};
+
+    let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
+    ds.sites
+        .iter()
+        .map(|gs| {
+            let labels: NodeSet = annot.annotate(&gs.site);
+            assert!(!labels.is_empty(), "annotator found nothing");
+            aw_enum::top_down(&XPathInductor::new(&gs.site), &labels)
+                .xpath_candidates()
+                .into_iter()
+                .map(|(_, xp)| xp)
+                .collect()
+        })
+        .collect()
+}
+
+/// Every page of the corpus, tagged with its site index.
+fn site_pages(ds: &DealersDataset) -> Vec<(usize, &Document)> {
+    ds.sites
+        .iter()
+        .enumerate()
+        .flat_map(|(s, gs)| gs.site.pages().iter().map(move |page| (s, page)))
+        .collect()
+}
+
+/// One `BatchEvaluator` per site, the multi-site batch engine.
+fn site_batches(site_paths: &[Vec<XPath>], cache: bool) -> Vec<BatchEvaluator> {
+    site_paths
+        .iter()
+        .map(|paths| BatchEvaluator::from_xpaths(paths).with_cache(cache))
+        .collect()
+}
+
+/// Evaluates every `(site, page)` pair through its own site's evaluator,
+/// page-parallel.
+fn evaluate_pages(
+    batches: &[BatchEvaluator],
+    pages: &[(usize, &Document)],
+    exec: &Executor,
+) -> PageResults {
+    exec.map(pages, |&(s, doc)| batches[s].evaluate(doc))
+}
+
+/// Asserts every page's node lists equal the reference interpreter's.
+#[track_caller]
+fn assert_matches_reference(
+    site_paths: &[Vec<XPath>],
+    pages: &[(usize, &Document)],
+    results: &PageResults,
+    ctx: &str,
+) {
+    assert_eq!(results.len(), pages.len(), "{ctx}");
+    for (p, (&(s, page), page_results)) in pages.iter().zip(results).enumerate() {
+        assert_eq!(page_results.len(), site_paths[s].len(), "{ctx}, page {p}");
+        for (path, nodes) in site_paths[s].iter().zip(page_results) {
+            assert_eq!(
+                nodes,
+                &reference::evaluate(path, page),
+                "{ctx}, page {p}: {path}"
+            );
+        }
+    }
+}
+
+/// Asserts `results` equal the first thread count's.
+#[track_caller]
+fn assert_same_as_first(first: &mut Option<PageResults>, results: PageResults, threads: usize) {
+    match first {
+        None => *first = Some(results),
+        Some(expected) => assert_eq!(&results, expected, "threads {threads}"),
+    }
+}
+
+/// Template-cache statistics summed across per-site evaluators.
+fn replay_stats(batches: &[BatchEvaluator]) -> ReplayStats {
+    let mut total = ReplayStats::default();
+    for batch in batches {
+        total += batch
+            .template_cache()
+            .expect("cache enabled")
+            .replay_stats();
+    }
+    total
+}
+
+/// Replayed pages summed across per-site evaluators.
+fn cache_hits(batches: &[BatchEvaluator]) -> u64 {
+    batches
+        .iter()
+        .map(|batch| batch.template_cache().expect("cache enabled").stats().0)
+        .sum()
 }
 
 #[test]
@@ -266,87 +367,35 @@ fn whole_random_sets_agree_through_one_batch_trie() {
 
 #[test]
 fn sharded_parallel_evaluation_is_byte_identical_across_thread_counts() {
-    use aw_annotate::{DictionaryAnnotator, MatchMode};
-    use aw_enum::{sharded_xpath_space, top_down};
-    use aw_induct::{NodeSet, XPathInductor};
-
     let ds = generate_dealers(&DealersConfig {
         sites: 4,
         pages_per_site: 3,
         seed: 0x51AD,
         ..DealersConfig::default()
     });
-    let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
-
-    // Per-site enumerated spaces, tagged by site for sharding; keep the
-    // parsed paths for the reference oracle.
-    let mut spaces: Vec<aw_enum::EnumerationResult<aw_dom::PageNode>> = Vec::new();
-    let mut site_paths: Vec<Vec<XPath>> = Vec::new();
-    let mut pages: Vec<(usize, &Document)> = Vec::new();
-    for gs in &ds.sites {
-        let labels: NodeSet = annot.annotate(&gs.site);
-        assert!(!labels.is_empty(), "annotator found nothing");
-        let ind = XPathInductor::new(&gs.site);
-        let space = top_down(&ind, &labels);
-        site_paths.push(
-            space
-                .xpath_candidates()
-                .into_iter()
-                .map(|(_, xp)| xp)
-                .collect(),
-        );
-        spaces.push(space);
-    }
-    for (s, gs) in ds.sites.iter().enumerate() {
-        for page in gs.site.pages() {
-            pages.push((s, page));
-        }
-    }
-    let sharded = ShardedBatch::new(sharded_xpath_space(spaces.iter()));
-    assert_eq!(sharded.shard_count(), ds.sites.len());
-    assert_eq!(
-        sharded.len(),
-        site_paths.iter().map(Vec::len).sum::<usize>()
-    );
-
-    // Global slots are site-major (sharded_xpath_space documents this).
-    let mut slot_to_path: Vec<&XPath> = Vec::new();
-    for paths in &site_paths {
-        slot_to_path.extend(paths.iter());
+    let site_paths = enumerated_site_paths(&ds);
+    let pages = site_pages(&ds);
+    let batches = site_batches(&site_paths, true);
+    assert_eq!(batches.len(), ds.sites.len());
+    for (batch, paths) in batches.iter().zip(&site_paths) {
+        assert_eq!(batch.len(), paths.len());
     }
 
-    type PageResults = Vec<Vec<(u32, Vec<aw_dom::NodeId>)>>;
     let mut first: Option<PageResults> = None;
     for threads in [1, 2, 3, 8] {
-        let exec = Executor::new(threads);
-        let results = sharded.evaluate_pages(&pages, &exec);
+        let results = evaluate_pages(&batches, &pages, &Executor::new(threads));
         // Byte-identical to the reference interpreter per (rule, page)...
-        for (&(_, page), page_results) in pages.iter().zip(&results) {
-            for (slot, nodes) in page_results {
-                assert_eq!(
-                    nodes,
-                    &reference::evaluate(slot_to_path[*slot as usize], page),
-                    "threads {threads}, slot {slot}"
-                );
-            }
-        }
+        assert_matches_reference(&site_paths, &pages, &results, &format!("threads {threads}"));
         // ...and across thread counts.
-        match &first {
-            None => first = Some(results),
-            Some(expected) => assert_eq!(&results, expected, "threads {threads}"),
-        }
+        assert_same_as_first(&mut first, results, threads);
     }
 }
 
 #[test]
 fn template_cache_is_byte_identical_across_engines_and_thread_counts() {
-    use aw_annotate::{DictionaryAnnotator, MatchMode};
-    use aw_enum::{sharded_xpath_space, top_down};
-    use aw_induct::{NodeSet, XPathInductor};
-
     // A repeated-template corpus: fixed records per page, all optional
     // fields present — every page of a site shares one structural
-    // fingerprint, so sharded evaluation replays recorded traces.
+    // fingerprint, so per-site evaluation replays recorded traces.
     let ds = generate_dealers(&DealersConfig {
         sites: 4,
         pages_per_site: 4,
@@ -356,53 +405,26 @@ fn template_cache_is_byte_identical_across_engines_and_thread_counts() {
         seed: 0x7E41,
         ..DealersConfig::default()
     });
-    let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
+    let site_paths = enumerated_site_paths(&ds);
+    let pages = site_pages(&ds);
+    let cached = site_batches(&site_paths, true);
+    let uncached = site_batches(&site_paths, false);
 
-    let mut spaces: Vec<aw_enum::EnumerationResult<aw_dom::PageNode>> = Vec::new();
-    let mut slot_to_path: Vec<XPath> = Vec::new();
-    for gs in &ds.sites {
-        let labels: NodeSet = annot.annotate(&gs.site);
-        assert!(!labels.is_empty(), "annotator found nothing");
-        let space = top_down(&XPathInductor::new(&gs.site), &labels);
-        slot_to_path.extend(space.xpath_candidates().into_iter().map(|(_, xp)| xp));
-        spaces.push(space);
-    }
-    let mut pages: Vec<(usize, &Document)> = Vec::new();
-    for (s, gs) in ds.sites.iter().enumerate() {
-        for page in gs.site.pages() {
-            pages.push((s, page));
-        }
-    }
-
-    let tagged: Vec<(usize, aw_xpath::CompiledXPath)> = sharded_xpath_space(spaces.iter());
-    let cached = ShardedBatch::new(tagged.clone());
-    let uncached = ShardedBatch::new(tagged).with_cache(false);
-
-    type PageResults = Vec<Vec<(u32, Vec<aw_dom::NodeId>)>>;
     let mut first: Option<PageResults> = None;
     for threads in [1, 2, 8] {
         let exec = Executor::new(threads);
-        let on = cached.evaluate_pages(&pages, &exec);
-        let off = uncached.evaluate_pages(&pages, &exec);
+        let on = evaluate_pages(&cached, &pages, &exec);
+        let off = evaluate_pages(&uncached, &pages, &exec);
         assert_eq!(on, off, "cache-on != cache-off at {threads} threads");
-        // Byte-identical to the reference interpreter per (rule, page).
-        for (&(_, page), page_results) in pages.iter().zip(&on) {
-            for (slot, nodes) in page_results {
-                assert_eq!(
-                    nodes,
-                    &reference::evaluate(&slot_to_path[*slot as usize], page),
-                    "threads {threads}, slot {slot}"
-                );
-            }
-        }
+        // Byte-identical to the reference interpreter per (rule, page)...
+        assert_matches_reference(&site_paths, &pages, &on, &format!("threads {threads}"));
         // ...and across thread counts.
-        match &first {
-            None => first = Some(on),
-            Some(expected) => assert_eq!(&on, expected, "threads {threads}"),
-        }
+        assert_same_as_first(&mut first, on, threads);
     }
-    let (hits, _) = cached.template_cache_stats().expect("cache enabled");
-    assert!(hits > 0, "the template corpus must actually replay");
+    assert!(
+        cache_hits(&cached) > 0,
+        "the template corpus must actually replay"
+    );
 }
 
 #[test]
@@ -456,68 +478,7 @@ fn template_replay_agrees_on_random_spaces_over_skeleton_siblings() {
 }
 
 #[test]
-fn engines_agree_on_builder_docs_where_arena_order_is_not_rank_order() {
-    // The engines skip the materialization sort when arena order equals
-    // pre-order rank order (`DocIndex::ranks_monotone`); builder-built
-    // documents with interleaved appends are exactly the case where it
-    // must NOT be skipped. Build listing-shaped trees breadth-first
-    // (all containers first, then their children), which makes arena
-    // order diverge from preorder everywhere below the first level.
-    let mut rng = StdRng::seed_from_u64(0xB00C);
-    for round in 0..40 {
-        let mut doc = Document::new();
-        let classes = ["list", "content", "footer"];
-        let divs: Vec<_> = (0..3)
-            .map(|i| {
-                doc.append_element(
-                    aw_dom::NodeId::ROOT,
-                    "div",
-                    vec![("class".to_string(), classes[i % 3].to_string())],
-                )
-            })
-            .collect();
-        let rows: Vec<_> = divs
-            .iter()
-            .flat_map(|&d| (0..2).map(move |_| d))
-            .map(|d| doc.append_element(d, "tr", vec![]))
-            .collect();
-        for (i, &tr) in rows.iter().enumerate() {
-            let td = doc.append_element(tr, "td", vec![]);
-            let u = doc.append_element(td, "u", vec![]);
-            doc.append_text(u, format!("NAME {round}-{i}"));
-            doc.append_text(td, format!("{i} Elm St"));
-        }
-        assert!(
-            !doc.index().ranks_monotone(),
-            "breadth-first construction must break arena/rank agreement"
-        );
-        for _ in 0..30 {
-            assert_engines_agree(&doc, &random_xpath(&mut rng));
-        }
-        // And through one batch trie three times, so the template-cache
-        // record/replay paths also materialize via the sorting branch.
-        let paths: Vec<XPath> = (0..20).map(|_| random_xpath(&mut rng)).collect();
-        let batch = BatchEvaluator::from_xpaths(paths.iter());
-        for _ in 0..3 {
-            for (path, got) in paths.iter().zip(batch.evaluate(&doc)) {
-                assert_eq!(
-                    got,
-                    reference::evaluate(path, &doc),
-                    "round {round}: {path}"
-                );
-            }
-        }
-        let (hits, _) = batch.template_cache().unwrap().stats();
-        assert_eq!(hits, 1, "round {round}: third pass must replay");
-    }
-}
-
-#[test]
 fn record_replay_is_byte_identical_on_variable_length_learned_corpora() {
-    use aw_annotate::{DictionaryAnnotator, MatchMode};
-    use aw_enum::{sharded_xpath_space, top_down};
-    use aw_induct::{NodeSet, XPathInductor};
-
     // A variable-length corpus: record counts differ per page and each
     // record independently drops its optional phone field, so whole-page
     // fingerprints rarely repeat within a site. Replay can only come
@@ -532,23 +493,8 @@ fn record_replay_is_byte_identical_on_variable_length_learned_corpora() {
         seed: 0xFA7B,
         ..DealersConfig::default()
     });
-    let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
-
-    let mut spaces: Vec<aw_enum::EnumerationResult<aw_dom::PageNode>> = Vec::new();
-    let mut slot_to_path: Vec<XPath> = Vec::new();
-    for gs in &ds.sites {
-        let labels: NodeSet = annot.annotate(&gs.site);
-        assert!(!labels.is_empty(), "annotator found nothing");
-        let space = top_down(&XPathInductor::new(&gs.site), &labels);
-        slot_to_path.extend(space.xpath_candidates().into_iter().map(|(_, xp)| xp));
-        spaces.push(space);
-    }
-    let mut pages: Vec<(usize, &Document)> = Vec::new();
-    for (s, gs) in ds.sites.iter().enumerate() {
-        for page in gs.site.pages() {
-            pages.push((s, page));
-        }
-    }
+    let site_paths = enumerated_site_paths(&ds);
+    let pages = site_pages(&ds);
     // The corpus must actually be variable-length per site, or this test
     // degenerates into the fixed-roster one above.
     for gs in &ds.sites {
@@ -568,32 +514,18 @@ fn record_replay_is_byte_identical_on_variable_length_learned_corpora() {
         assert!(counts.len() > 1, "record counts must vary within a site");
     }
 
-    let tagged: Vec<(usize, aw_xpath::CompiledXPath)> = sharded_xpath_space(spaces.iter());
-    let cached = ShardedBatch::new(tagged.clone());
-    let uncached = ShardedBatch::new(tagged).with_cache(false);
-
-    type PageResults = Vec<Vec<(u32, Vec<aw_dom::NodeId>)>>;
+    let cached = site_batches(&site_paths, true);
+    let uncached = site_batches(&site_paths, false);
     let mut first: Option<PageResults> = None;
     for threads in [1, 2, 8] {
         let exec = Executor::new(threads);
-        let on = cached.evaluate_pages(&pages, &exec);
-        let off = uncached.evaluate_pages(&pages, &exec);
+        let on = evaluate_pages(&cached, &pages, &exec);
+        let off = evaluate_pages(&uncached, &pages, &exec);
         assert_eq!(on, off, "cache-on != cache-off at {threads} threads");
-        for (&(_, page), page_results) in pages.iter().zip(&on) {
-            for (slot, nodes) in page_results {
-                assert_eq!(
-                    nodes,
-                    &reference::evaluate(&slot_to_path[*slot as usize], page),
-                    "threads {threads}, slot {slot}"
-                );
-            }
-        }
-        match &first {
-            None => first = Some(on),
-            Some(expected) => assert_eq!(&on, expected, "threads {threads}"),
-        }
+        assert_matches_reference(&site_paths, &pages, &on, &format!("threads {threads}"));
+        assert_same_as_first(&mut first, on, threads);
     }
-    let replay = cached.template_replay_stats().expect("cache enabled");
+    let replay = replay_stats(&cached);
     assert!(replay.frame_replays > 0, "no frame stitched: {replay:?}");
     assert!(replay.record_replays > 0, "no record replayed: {replay:?}");
     assert!(
@@ -747,10 +679,9 @@ fn interleaved_exact_frame_and_miss_pages_agree_across_thread_counts() {
     assert!(aw_dom::parse(&empty(0)).index().record_layout().is_none());
 
     let mut rng = StdRng::seed_from_u64(0x1E4F);
-    let mut tagged: Vec<(usize, XPath)> = Vec::new();
-    for site in 0..2 {
-        tagged.extend((0..25).map(|_| (site, random_xpath(&mut rng))));
-    }
+    let mut site_paths: Vec<Vec<XPath>> = (0..2)
+        .map(|_| (0..25).map(|_| random_xpath(&mut rng)).collect())
+        .collect();
     for targeted in [
         "//table[@class='dealerlinks']/tr/td/u/text()",
         "//tr/td[2]/text()",
@@ -761,40 +692,28 @@ fn interleaved_exact_frame_and_miss_pages_agree_across_thread_counts() {
         "//div[@class='footer']/p/text()",
         "//p/text()",
     ] {
-        for site in 0..2 {
-            tagged.push((site, aw_xpath::parse_xpath(targeted).unwrap()));
+        let xp = aw_xpath::parse_xpath(targeted).unwrap();
+        for paths in &mut site_paths {
+            paths.push(xp.clone());
         }
     }
 
-    type PageResults = Vec<Vec<(u32, Vec<aw_dom::NodeId>)>>;
     let mut first: Option<PageResults> = None;
     for threads in [1, 2, 8] {
         // Fresh pages and caches per thread count, so every run starts
         // cold and layouts are computed only by this run.
         let docs: Vec<Document> = html.iter().map(|(_, h, _)| aw_dom::parse(h)).collect();
         let pages: Vec<(usize, &Document)> = html.iter().map(|(s, _, _)| *s).zip(&docs).collect();
-        let cached = ShardedBatch::from_xpaths(tagged.iter().map(|(s, xp)| (*s, xp)));
-        let uncached =
-            ShardedBatch::from_xpaths(tagged.iter().map(|(s, xp)| (*s, xp))).with_cache(false);
+        let cached = site_batches(&site_paths, true);
+        let uncached = site_batches(&site_paths, false);
         let exec = Executor::new(threads);
-        let on = cached.evaluate_pages(&pages, &exec);
-        let off = uncached.evaluate_pages(&pages, &exec);
+        let on = evaluate_pages(&cached, &pages, &exec);
+        let off = evaluate_pages(&uncached, &pages, &exec);
         assert_eq!(on, off, "cache-on != cache-off at {threads} threads");
-        for (p, (&(_, page), page_results)) in pages.iter().zip(&on).enumerate() {
-            for (slot, nodes) in page_results {
-                assert_eq!(
-                    nodes,
-                    &reference::evaluate(&tagged[*slot as usize].1, page),
-                    "threads {threads}, page {p}, slot {slot}"
-                );
-            }
-        }
-        match &first {
-            None => first = Some(on),
-            Some(expected) => assert_eq!(&on, expected, "threads {threads}"),
-        }
+        assert_matches_reference(&site_paths, &pages, &on, &format!("threads {threads}"));
+        assert_same_as_first(&mut first, on, threads);
 
-        let replay = cached.template_replay_stats().expect("cache enabled");
+        let replay = replay_stats(&cached);
         assert_eq!(
             replay.full_replays + replay.frame_replays + replay.misses,
             pages.len() as u64,
@@ -804,7 +723,7 @@ fn interleaved_exact_frame_and_miss_pages_agree_across_thread_counts() {
             let count = |c: char| html.iter().filter(|(_, _, e)| *e == c).count() as u64;
             assert_eq!(
                 replay,
-                aw_xpath::ReplayStats {
+                ReplayStats {
                     full_replays: count('F'),
                     frame_replays: count('R'),
                     // Per site: 4 + 4 records stitched on the second and
@@ -828,20 +747,16 @@ fn interleaved_exact_frame_and_miss_pages_agree_across_thread_counts() {
 
 #[test]
 fn streaming_parse_is_byte_identical_through_sharded_extraction() {
-    use aw_annotate::{DictionaryAnnotator, MatchMode};
-    use aw_enum::{sharded_xpath_space, top_down};
-    use aw_induct::{NodeSet, XPathInductor};
-
     // The serving request path re-parses raw HTML with the one-pass
     // streaming builder (`aw_dom::parse_indexed`) where everything else
     // in this suite uses classic `parse`. Serialize learned corpora —
     // the fixed-roster template corpus AND the variable-length dropout
     // corpus — re-parse every page through both paths, and require the
     // full extraction pipeline to be byte-identical between them:
-    // fingerprints, record layouts, and sharded node sets with the
-    // template cache on and off at every thread count. One cached
-    // evaluator serves both parse paths interleaved, so traces recorded
-    // from classic-parsed pages must replay correctly onto
+    // fingerprints, record layouts, and per-site batch node sets with
+    // the template cache on and off at every thread count. One cached
+    // evaluator per site serves both parse paths interleaved, so traces
+    // recorded from classic-parsed pages must replay correctly onto
     // stream-parsed ones (exactly what a long-lived service does).
     let corpora = [
         generate_dealers(&DealersConfig {
@@ -863,64 +778,51 @@ fn streaming_parse_is_byte_identical_through_sharded_extraction() {
         }),
     ];
     for (corpus, ds) in corpora.iter().enumerate() {
-        let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
-        let mut spaces: Vec<aw_enum::EnumerationResult<aw_dom::PageNode>> = Vec::new();
-        let mut slot_to_path: Vec<XPath> = Vec::new();
-        for gs in &ds.sites {
-            let labels: NodeSet = annot.annotate(&gs.site);
-            assert!(!labels.is_empty(), "annotator found nothing");
-            let space = top_down(&XPathInductor::new(&gs.site), &labels);
-            slot_to_path.extend(space.xpath_candidates().into_iter().map(|(_, xp)| xp));
-            spaces.push(space);
-        }
+        let site_paths = enumerated_site_paths(ds);
 
         // Serialize and re-parse each page through both paths. Both
         // parsers allocate nodes in document order, so agreement holds
         // at the NodeId level, not just structurally.
         let mut oracle_docs: Vec<(usize, Document)> = Vec::new();
         let mut stream_docs: Vec<(usize, Document)> = Vec::new();
-        for (s, gs) in ds.sites.iter().enumerate() {
-            for page in gs.site.pages() {
-                let html = aw_dom::serialize(page);
-                let oracle = aw_dom::parse(&html);
-                let streamed = aw_dom::parse_indexed(&html).into_document();
-                assert_eq!(
-                    aw_dom::serialize(&streamed),
-                    aw_dom::serialize(&oracle),
-                    "corpus {corpus}: tree mismatch"
-                );
-                assert_eq!(
-                    streamed.index().template_fingerprint(),
-                    oracle.index().template_fingerprint(),
-                    "corpus {corpus}: fingerprint mismatch"
-                );
-                assert_eq!(
-                    streamed.index().record_layout(),
-                    oracle.index().record_layout(),
-                    "corpus {corpus}: record layout mismatch"
-                );
-                oracle_docs.push((s, oracle));
-                stream_docs.push((s, streamed));
-            }
+        for (s, page) in site_pages(ds) {
+            let html = aw_dom::serialize(page);
+            let oracle = aw_dom::parse(&html);
+            let streamed = aw_dom::parse_indexed(&html).into_document();
+            assert_eq!(
+                aw_dom::serialize(&streamed),
+                aw_dom::serialize(&oracle),
+                "corpus {corpus}: tree mismatch"
+            );
+            assert_eq!(
+                streamed.index().template_fingerprint(),
+                oracle.index().template_fingerprint(),
+                "corpus {corpus}: fingerprint mismatch"
+            );
+            assert_eq!(
+                streamed.index().record_layout(),
+                oracle.index().record_layout(),
+                "corpus {corpus}: record layout mismatch"
+            );
+            oracle_docs.push((s, oracle));
+            stream_docs.push((s, streamed));
         }
         let oracle_pages: Vec<(usize, &Document)> =
             oracle_docs.iter().map(|(s, d)| (*s, d)).collect();
         let stream_pages: Vec<(usize, &Document)> =
             stream_docs.iter().map(|(s, d)| (*s, d)).collect();
 
-        let tagged: Vec<(usize, aw_xpath::CompiledXPath)> = sharded_xpath_space(spaces.iter());
-        let cached = ShardedBatch::new(tagged.clone());
-        let uncached = ShardedBatch::new(tagged).with_cache(false);
-        type PageResults = Vec<Vec<(u32, Vec<aw_dom::NodeId>)>>;
+        let cached = site_batches(&site_paths, true);
+        let uncached = site_batches(&site_paths, false);
         let mut first: Option<PageResults> = None;
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
             // Oracle pages first: with the cache on, the traces they
             // record must replay byte-identically onto the
             // stream-parsed copies of the same templates.
-            let on_oracle = cached.evaluate_pages(&oracle_pages, &exec);
-            let on_stream = cached.evaluate_pages(&stream_pages, &exec);
-            let off_stream = uncached.evaluate_pages(&stream_pages, &exec);
+            let on_oracle = evaluate_pages(&cached, &oracle_pages, &exec);
+            let on_stream = evaluate_pages(&cached, &stream_pages, &exec);
+            let off_stream = evaluate_pages(&uncached, &stream_pages, &exec);
             assert_eq!(
                 on_stream, on_oracle,
                 "corpus {corpus}: stream != oracle (cache on, {threads} threads)"
@@ -930,24 +832,14 @@ fn streaming_parse_is_byte_identical_through_sharded_extraction() {
                 "corpus {corpus}: cache-off stream != oracle ({threads} threads)"
             );
             // And byte-identical to the reference interpreter.
-            for (&(_, page), page_results) in stream_pages.iter().zip(&on_stream) {
-                for (slot, nodes) in page_results {
-                    assert_eq!(
-                        nodes,
-                        &reference::evaluate(&slot_to_path[*slot as usize], page),
-                        "corpus {corpus}: threads {threads}, slot {slot}"
-                    );
-                }
-            }
-            match &first {
-                None => first = Some(on_stream),
-                Some(expected) => {
-                    assert_eq!(&on_stream, expected, "corpus {corpus}: threads {threads}")
-                }
-            }
+            let ctx = format!("corpus {corpus}: threads {threads}");
+            assert_matches_reference(&site_paths, &stream_pages, &on_stream, &ctx);
+            assert_same_as_first(&mut first, on_stream, threads);
         }
-        let (hits, _) = cached.template_cache_stats().expect("cache enabled");
-        assert!(hits > 0, "corpus {corpus}: the template corpus must replay");
+        assert!(
+            cache_hits(&cached) > 0,
+            "corpus {corpus}: the template corpus must replay"
+        );
     }
 }
 
