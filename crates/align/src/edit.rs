@@ -1,22 +1,30 @@
-//! Edit distance (Levenshtein) over generic item slices.
+//! Edit distance (Levenshtein) over token-symbol slices.
 //!
 //! The publication model's *alignment* feature (§6.1) is "the maximum
 //! pairwise edit distance between pairs of segments"; segments are tag
-//! sequences, so distance is computed over arbitrary `Eq` items.
+//! sequences of `u32` symbols, and the dynamic programs reuse the
+//! caller's [`Rows`] across pairs.
+
+use crate::Rows;
+
+/// The pin of an item that no type claims (see [`edit_distance_pinned`]).
+pub const NO_PIN: u32 = u32::MAX;
 
 /// Levenshtein distance between `a` and `b` (unit costs).
-pub fn edit_distance<T: Eq>(a: &[T], b: &[T]) -> usize {
+pub fn edit_distance(a: &[u32], b: &[u32], rows: &mut Rows) -> usize {
     if a.is_empty() {
         return b.len();
     }
     if b.is_empty() {
         return a.len();
     }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, x) in a.iter().enumerate() {
+    let (mut prev, mut cur) = rows.two(b.len() + 1);
+    for (j, cell) in prev.iter_mut().enumerate() {
+        *cell = j;
+    }
+    for (i, &x) in a.iter().enumerate() {
         cur[0] = i + 1;
-        for (j, y) in b.iter().enumerate() {
+        for (j, &y) in b.iter().enumerate() {
             let sub = prev[j] + usize::from(x != y);
             cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
         }
@@ -25,58 +33,47 @@ pub fn edit_distance<T: Eq>(a: &[T], b: &[T]) -> usize {
     prev[b.len()]
 }
 
-/// Levenshtein distance with an early-exit upper bound: returns `None` when
-/// the distance certainly exceeds `bound`. Used to cap the cost of pairwise
-/// alignment over long record segments.
-pub fn edit_distance_bounded<T: Eq>(a: &[T], b: &[T], bound: usize) -> Option<usize> {
-    if a.len().abs_diff(b.len()) > bound {
-        return None;
-    }
-    let d = edit_distance(a, b);
-    (d <= bound).then_some(d)
-}
-
 /// Edit distance where some positions are *pinned*: a pinned position in `a`
 /// may only align to a pinned position in `b` and vice versa. Pinning is
 /// how the multi-type ranking (Appendix A) enforces "nodes corresponding to
 /// each type align with each other": typed nodes are pinned with the type
 /// index, untyped items are free.
 ///
-/// `pa[i]` / `pb[j]` give `Some(type_index)` for pinned items. A
-/// substitution between items with different `Some` pins, or between a
-/// pinned and an unpinned item, is forbidden (infinite cost); deleting or
-/// inserting a pinned item costs `pin_indel_cost` (usually larger than 1)
-/// so missing typed fields are penalized.
-pub fn edit_distance_pinned<T: Eq>(
-    a: &[T],
-    b: &[T],
-    pa: &[Option<u32>],
-    pb: &[Option<u32>],
+/// `pa[i]` / `pb[j]` give the type index of pinned items and [`NO_PIN`]
+/// for free ones. A substitution between items with different pins, or
+/// between a pinned and a free item, is forbidden (infinite cost);
+/// deleting or inserting a pinned item costs `pin_indel_cost` (usually
+/// larger than 1) so missing typed fields are penalized.
+pub fn edit_distance_pinned(
+    a: &[u32],
+    b: &[u32],
+    pa: &[u32],
+    pb: &[u32],
     pin_indel_cost: usize,
+    rows: &mut Rows,
 ) -> usize {
     assert_eq!(a.len(), pa.len());
     assert_eq!(b.len(), pb.len());
     const INF: usize = usize::MAX / 4;
-    let indel = |pin: &Option<u32>| if pin.is_some() { pin_indel_cost } else { 1 };
+    let indel = |pin: u32| if pin == NO_PIN { 1 } else { pin_indel_cost };
 
-    let mut prev: Vec<usize> = Vec::with_capacity(b.len() + 1);
-    prev.push(0);
+    let (mut prev, mut cur) = rows.two(b.len() + 1);
+    prev[0] = 0;
     for j in 0..b.len() {
-        prev.push(prev[j] + indel(&pb[j]));
+        prev[j + 1] = prev[j] + indel(pb[j]);
     }
-    let mut cur = vec![0usize; b.len() + 1];
     for i in 0..a.len() {
-        cur[0] = prev[0] + indel(&pa[i]);
+        cur[0] = prev[0] + indel(pa[i]);
         for j in 0..b.len() {
-            let sub_allowed = pa[i] == pb[j]; // both None, or same pin
-            let sub_cost = if sub_allowed {
+            // Both free, or the same pin.
+            let sub_cost = if pa[i] == pb[j] {
                 usize::from(a[i] != b[j])
             } else {
                 INF
             };
             let sub = prev[j].saturating_add(sub_cost);
-            let del = prev[j + 1] + indel(&pa[i]);
-            let ins = cur[j] + indel(&pb[j]);
+            let del = prev[j + 1] + indel(pa[i]);
+            let ins = cur[j] + indel(pb[j]);
             cur[j + 1] = sub.min(del).min(ins);
         }
         std::mem::swap(&mut prev, &mut cur);
@@ -88,49 +85,59 @@ pub fn edit_distance_pinned<T: Eq>(
 mod tests {
     use super::*;
 
+    fn syms(s: &str) -> Vec<u32> {
+        s.chars().map(u32::from).collect()
+    }
+
     #[test]
     fn classic_cases() {
-        let a: Vec<char> = "kitten".chars().collect();
-        let b: Vec<char> = "sitting".chars().collect();
-        assert_eq!(edit_distance(&a, &b), 3);
-        assert_eq!(edit_distance(&b, &a), 3);
+        let mut rows = Rows::default();
+        let (a, b) = (syms("kitten"), syms("sitting"));
+        assert_eq!(edit_distance(&a, &b, &mut rows), 3);
+        assert_eq!(edit_distance(&b, &a, &mut rows), 3);
     }
 
     #[test]
     fn empty_and_identical() {
-        let e: [u8; 0] = [];
-        assert_eq!(edit_distance(&e, b"abc"), 3);
-        assert_eq!(edit_distance(b"abc", &e), 3);
-        assert_eq!(edit_distance(b"abc", b"abc"), 0);
-        assert_eq!(edit_distance::<u8>(&e, &e), 0);
+        let mut rows = Rows::default();
+        let abc = syms("abc");
+        assert_eq!(edit_distance(&[], &abc, &mut rows), 3);
+        assert_eq!(edit_distance(&abc, &[], &mut rows), 3);
+        assert_eq!(edit_distance(&abc, &abc, &mut rows), 0);
+        assert_eq!(edit_distance(&[], &[], &mut rows), 0);
     }
 
     #[test]
     fn triangle_inequality_spot_check() {
-        let a = b"abcd";
-        let b = b"axcd";
-        let c = b"axyd";
-        assert!(edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c));
+        let mut rows = Rows::default();
+        let (a, b, c) = (syms("abcd"), syms("axcd"), syms("axyd"));
+        let ac = edit_distance(&a, &c, &mut rows);
+        assert!(ac <= edit_distance(&a, &b, &mut rows) + edit_distance(&b, &c, &mut rows));
     }
 
     #[test]
-    fn bounded_accepts_and_rejects() {
-        let a: Vec<char> = "kitten".chars().collect();
-        let b: Vec<char> = "sitting".chars().collect();
-        assert_eq!(edit_distance_bounded(&a, &b, 3), Some(3));
-        assert_eq!(edit_distance_bounded(&a, &b, 2), None);
-        // Length-difference fast path.
-        assert_eq!(edit_distance_bounded(b"a", b"abcdef", 2), None);
+    fn rows_are_reused_across_calls_of_any_size() {
+        let mut rows = Rows::default();
+        assert_eq!(
+            edit_distance(&syms("abcdefgh"), &syms("hgfedcba"), &mut rows),
+            8
+        );
+        assert_eq!(edit_distance(&syms("ab"), &syms("ab"), &mut rows), 0);
+        let free = [NO_PIN; 2];
+        assert_eq!(
+            edit_distance_pinned(&syms("ab"), &syms("ax"), &free, &free, 3, &mut rows),
+            1
+        );
     }
 
     #[test]
     fn pinned_reduces_to_plain_when_unpinned() {
-        let a = b"abcd";
-        let b = b"axcd";
-        let none = vec![None; 4];
+        let mut rows = Rows::default();
+        let (a, b) = (syms("abcd"), syms("axcd"));
+        let none = [NO_PIN; 4];
         assert_eq!(
-            edit_distance_pinned(a, b, &none, &none, 3),
-            edit_distance(a, b)
+            edit_distance_pinned(&a, &b, &none, &none, 3, &mut rows),
+            edit_distance(&a, &b, &mut rows)
         );
     }
 
@@ -138,25 +145,29 @@ mod tests {
     fn pinned_forbids_cross_type_alignment() {
         // a = [NAME, x], b = [x, NAME]: the pinned NAMEs cannot swap for
         // free; they must align to each other, costing 2 indels of x.
-        let a = ["NAME", "x"];
-        let b = ["x", "NAME"];
-        let pa = [Some(0), None];
-        let pb = [None, Some(0)];
-        assert_eq!(edit_distance_pinned(&a, &b, &pa, &pb, 5), 2);
-        // Unpinned, the same sequences are distance 2 as well (sub+sub),
-        // but with different pins the forced path is insert+delete of 'x'.
-        let pa2 = [Some(0), None];
-        let pb2 = [None, Some(1)];
-        // NAME(0) must be deleted (cost 5) and NAME(1) inserted (cost 5).
-        assert_eq!(edit_distance_pinned(&a, &b, &pa2, &pb2, 5), 10);
+        const NAME: u32 = 7;
+        const X: u32 = 8;
+        let mut rows = Rows::default();
+        let (a, b) = ([NAME, X], [X, NAME]);
+        assert_eq!(
+            edit_distance_pinned(&a, &b, &[0, NO_PIN], &[NO_PIN, 0], 5, &mut rows),
+            2
+        );
+        // With different pins the forced path deletes NAME(0) (cost 5)
+        // and inserts NAME(1) (cost 5).
+        assert_eq!(
+            edit_distance_pinned(&a, &b, &[0, NO_PIN], &[NO_PIN, 1], 5, &mut rows),
+            10
+        );
     }
 
     #[test]
     fn pinned_missing_field_costs_indel() {
-        let a = ["NAME", "t", "ZIP"];
-        let b = ["NAME", "t"];
-        let pa = [Some(0), None, Some(1)];
-        let pb = [Some(0), None];
-        assert_eq!(edit_distance_pinned(&a, &b, &pa, &pb, 4), 4);
+        let mut rows = Rows::default();
+        let (a, b) = ([1, 2, 3], [1, 2]);
+        assert_eq!(
+            edit_distance_pinned(&a, &b, &[0, NO_PIN, 1], &[0, NO_PIN], 4, &mut rows),
+            4
+        );
     }
 }

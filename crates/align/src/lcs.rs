@@ -1,47 +1,34 @@
-//! Longest-common-substring and -subsequence over generic item slices.
+//! Longest common substring over token-symbol slices.
 //!
 //! The publication model's *schema size* feature (§6.1) is "the number of
 //! text nodes in the longest common substring between pairs of segments",
-//! where segments are tag sequences — so the algorithms here are generic
-//! over any `Eq` item type, not just bytes.
+//! where segments are tag sequences. Tokens are `u32` symbols (a tag's
+//! interned id, or one reserved id for text), so the dynamic program
+//! compares integers and reuses the caller's [`Rows`] across pairs.
 
-/// Length of the longest common (contiguous) substring of `a` and `b`.
+use crate::Rows;
+use std::ops::Range;
+
+/// The longest common (contiguous) substring of `a` and `b`, as a range
+/// into `a`: the earliest-in-`a` maximal match (`0..0` when nothing is
+/// shared).
 ///
-/// Classic dynamic program, O(|a|·|b|) time, O(min) space.
-pub fn longest_common_substring_len<T: Eq>(a: &[T], b: &[T]) -> usize {
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    // Keep the shorter sequence as the DP row.
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let mut prev = vec![0usize; short.len() + 1];
-    let mut cur = vec![0usize; short.len() + 1];
-    let mut best = 0;
-    for item in long {
-        for (j, s) in short.iter().enumerate() {
-            cur[j + 1] = if item == s { prev[j] + 1 } else { 0 };
-            best = best.max(cur[j + 1]);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    best
-}
-
-/// The longest common (contiguous) substring itself, as a range into `a`.
-/// Returns the earliest-in-`a` maximal match.
-pub fn longest_common_substring<T: Eq>(a: &[T], b: &[T]) -> std::ops::Range<usize> {
+/// Classic dynamic program, O(|a|·|b|) time, two rows of |b| + 1.
+pub fn longest_common_substring(a: &[u32], b: &[u32], rows: &mut Rows) -> Range<usize> {
     if a.is_empty() || b.is_empty() {
         return 0..0;
     }
-    let mut prev = vec![0usize; b.len() + 1];
-    let mut cur = vec![0usize; b.len() + 1];
+    let (mut prev, mut cur) = rows.two(b.len() + 1);
+    prev.fill(0);
+    cur[0] = 0;
     let mut best = 0;
     let mut best_end = 0; // exclusive end in `a`
-    for (i, item) in a.iter().enumerate() {
-        for (j, s) in b.iter().enumerate() {
-            cur[j + 1] = if item == s { prev[j] + 1 } else { 0 };
-            if cur[j + 1] > best {
-                best = cur[j + 1];
+    for (i, &x) in a.iter().enumerate() {
+        for (j, &y) in b.iter().enumerate() {
+            let run = if x == y { prev[j] + 1 } else { 0 };
+            cur[j + 1] = run;
+            if run > best {
+                best = run;
                 best_end = i + 1;
             }
         }
@@ -50,92 +37,69 @@ pub fn longest_common_substring<T: Eq>(a: &[T], b: &[T]) -> std::ops::Range<usiz
     best_end - best..best_end
 }
 
-/// Length of the longest common subsequence (non-contiguous) of `a` and `b`.
-pub fn longest_common_subsequence_len<T: Eq>(a: &[T], b: &[T]) -> usize {
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    let mut prev = vec![0usize; b.len() + 1];
-    let mut cur = vec![0usize; b.len() + 1];
-    for item in a {
-        for (j, s) in b.iter().enumerate() {
-            cur[j + 1] = if item == s {
-                prev[j] + 1
-            } else {
-                prev[j + 1].max(cur[j])
-            };
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn syms(s: &str) -> Vec<u32> {
+        s.chars().map(u32::from).collect()
+    }
+
     #[test]
     fn substring_basic() {
-        let a: Vec<char> = "xabcdey".chars().collect();
-        let b: Vec<char> = "zabcdew".chars().collect();
-        assert_eq!(longest_common_substring_len(&a, &b), 5);
-        let r = longest_common_substring(&a, &b);
-        assert_eq!(&a[r], &['a', 'b', 'c', 'd', 'e']);
+        let (a, b) = (syms("xabcdey"), syms("zabcdew"));
+        let r = longest_common_substring(&a, &b, &mut Rows::default());
+        assert_eq!(a[r], syms("abcde")[..]);
     }
 
     #[test]
-    fn substring_no_overlap() {
-        let a = [1, 2, 3];
-        let b = [4, 5, 6];
-        assert_eq!(longest_common_substring_len(&a, &b), 0);
-        assert_eq!(longest_common_substring(&a, &b), 0..0);
+    fn substring_no_overlap_and_empty_inputs() {
+        let mut rows = Rows::default();
+        assert_eq!(
+            longest_common_substring(&[1, 2, 3], &[4, 5, 6], &mut rows),
+            0..0
+        );
+        assert_eq!(longest_common_substring(&[], &[1, 2], &mut rows), 0..0);
+        assert_eq!(longest_common_substring(&[1, 2], &[], &mut rows), 0..0);
     }
 
     #[test]
-    fn substring_empty_inputs() {
-        let a: [u8; 0] = [];
-        assert_eq!(longest_common_substring_len(&a, b"abc"), 0);
-        assert_eq!(longest_common_substring_len(b"abc", &a), 0);
+    fn substring_identical_and_asymmetric() {
+        let mut rows = Rows::default();
+        let a = syms("hello");
+        assert_eq!(longest_common_substring(&a, &a, &mut rows), 0..5);
+        assert_eq!(
+            longest_common_substring(&syms("x"), &syms("yyyyxzzzz"), &mut rows),
+            0..1
+        );
+        assert_eq!(
+            longest_common_substring(&syms("yyyyxzzzz"), &syms("x"), &mut rows),
+            4..5
+        );
     }
 
     #[test]
-    fn substring_identical() {
-        let a = b"hello";
-        assert_eq!(longest_common_substring_len(a, a), 5);
-        assert_eq!(longest_common_substring(a, a), 0..5);
+    fn earliest_maximal_match_in_a_wins() {
+        // "ab" and "cd" both occur in b; the one that ends first in `a`
+        // is reported, whatever its position in b.
+        let (a, b) = (syms("abxcd"), syms("cdyab"));
+        assert_eq!(longest_common_substring(&a, &b, &mut Rows::default()), 0..2);
     }
 
     #[test]
-    fn substring_asymmetric_lengths() {
-        let a = b"x";
-        let b = b"yyyyxzzzz";
-        assert_eq!(longest_common_substring_len(a, b), 1);
-        assert_eq!(longest_common_substring_len(b, a), 1);
-    }
-
-    #[test]
-    fn subsequence_basic() {
-        let a: Vec<char> = "abcde".chars().collect();
-        let b: Vec<char> = "axcxe".chars().collect();
-        assert_eq!(longest_common_subsequence_len(&a, &b), 3); // a,c,e
-    }
-
-    #[test]
-    fn subsequence_vs_substring() {
-        let a: Vec<char> = "abab".chars().collect();
-        let b: Vec<char> = "baba".chars().collect();
-        assert_eq!(longest_common_subsequence_len(&a, &b), 3);
-        assert_eq!(longest_common_substring_len(&a, &b), 3); // "aba"/"bab"
-    }
-
-    #[test]
-    fn works_on_tag_sequences() {
-        // The actual use: tag-name sequences of record segments.
-        let s1 = ["b", "#text", "i", "#text", "br"];
-        let s2 = ["b", "#text", "i", "#text", "br"];
-        let s3 = ["b", "#text", "br"];
-        assert_eq!(longest_common_substring_len(&s1, &s2), 5);
-        assert_eq!(longest_common_substring_len(&s1, &s3), 2);
-        assert_eq!(longest_common_subsequence_len(&s1, &s3), 3);
+    fn rows_are_reused_across_calls_of_any_size() {
+        // A long pair, then a short one: stale cells of the longer call
+        // must not leak into the shorter one.
+        let mut rows = Rows::default();
+        let long = syms("aaaaaaaaaa");
+        assert_eq!(longest_common_substring(&long, &long, &mut rows), 0..10);
+        assert_eq!(
+            longest_common_substring(&syms("ab"), &syms("ba"), &mut rows),
+            0..1
+        );
+        assert_eq!(
+            longest_common_substring(&syms("xy"), &syms("zw"), &mut rows),
+            0..0
+        );
     }
 }

@@ -1,9 +1,14 @@
-//! Criterion microbenchmarks for the ranking model (§6): segmentation,
-//! feature computation and full wrapper scoring.
+//! Criterion microbenchmarks for the ranking model (§6): the site token
+//! stream, segmentation, feature computation, single-wrapper scoring,
+//! and scoring a whole enumerated wrapper space of one site (XPATH and
+//! LR) over one shared stream.
 
 use aw_annotate::{DictionaryAnnotator, MatchMode};
+use aw_core::{Engine, WrapperLanguage};
+use aw_induct::NodeSet;
 use aw_rank::{
     list_features, segment_site, AnnotatorModel, ListFeatures, PublicationModel, RankingModel,
+    SiteTokens,
 };
 use aw_sitegen::{generate_dealers, DealersConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -15,15 +20,6 @@ fn bench_rank(c: &mut Criterion) {
     let gold = gs.gold();
     let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
     let labels = annot.annotate(&gs.site);
-
-    let mut g = c.benchmark_group("rank");
-    g.bench_function("segment_site", |b| {
-        b.iter(|| segment_site(black_box(&gs.site), black_box(gold)))
-    });
-    let segments = segment_site(&gs.site, gold);
-    g.bench_function("list_features", |b| {
-        b.iter(|| list_features(black_box(&segments)))
-    });
     let model = RankingModel::new(
         AnnotatorModel::new(0.95, 0.24),
         PublicationModel::learn(&[
@@ -37,9 +33,54 @@ fn bench_rank(c: &mut Criterion) {
             },
         ]),
     );
+
+    let mut g = c.benchmark_group("rank");
+    g.bench_function("site_tokens", |b| {
+        b.iter(|| SiteTokens::new(black_box(&gs.site)))
+    });
+    let tokens = SiteTokens::new(&gs.site);
+    g.bench_function("segment_site", |b| {
+        b.iter(|| segment_site(black_box(&tokens), black_box(gold)).len())
+    });
+    let segments = segment_site(&tokens, gold);
+    g.bench_function("list_features", |b| {
+        b.iter(|| list_features(black_box(&segments)))
+    });
     g.bench_function("score_wrapper", |b| {
         b.iter(|| model.score(black_box(&gs.site), black_box(&labels), black_box(gold)))
     });
+    // Whole spaces: every enumerated candidate of one site, scored over
+    // one stream (`RankingModel::rank` builds it once per call). The
+    // site is the one with the largest space among eight
+    // default-sized DEALERS sites.
+    let big = generate_dealers(&DealersConfig {
+        sites: 8,
+        seed: 0xAA,
+        ..DealersConfig::default()
+    });
+    for language in [WrapperLanguage::XPath, WrapperLanguage::Lr] {
+        let engine = Engine::builder(model.clone()).language(language).build();
+        let (site, labels, space) = big
+            .sites
+            .iter()
+            .filter_map(|gs| {
+                let labels = annot.annotate(&gs.site);
+                let space: Vec<NodeSet> = engine
+                    .enumerate(&gs.site, &labels)
+                    .ok()?
+                    .wrappers()
+                    .iter()
+                    .map(|w| w.extraction.clone())
+                    .collect();
+                Some((&gs.site, labels, space))
+            })
+            .max_by_key(|(_, _, space)| space.len())
+            .expect("dictionary labels enumerate a space");
+        let name = format!("score_space_{}_{}", language.name(), space.len());
+        g.bench_function(&name, |b| {
+            b.iter(|| model.rank(black_box(site), black_box(&labels), space.iter()))
+        });
+    }
     g.finish();
 }
 

@@ -347,8 +347,8 @@ pub(crate) fn offset(at: usize) -> u32 {
 }
 
 /// An HTML document: flat node, attribute and text tables rooted at
-/// [`NodeId::ROOT`].
-#[derive(Clone, Debug, Default)]
+/// [`NodeId::ROOT`]. The default document holds only the root.
+#[derive(Clone, Debug)]
 pub struct Document {
     pub(crate) nodes: Vec<NodeRec>,
     pub(crate) names: NameTable,
@@ -364,21 +364,26 @@ pub struct Document {
     index: OnceLock<IndexTables>,
 }
 
-impl Document {
-    /// Creates an empty document containing only the root node, for the
-    /// classic parser to append to.
-    pub(crate) fn new() -> Self {
-        Document {
-            nodes: vec![NodeRec {
+impl Default for Document {
+    /// A document containing only the root node; the classic parser
+    /// appends to it.
+    fn default() -> Self {
+        Document::from_tables(
+            vec![NodeRec {
                 parent: NO_PARENT,
                 name: NAME_ROOT,
                 lo: 0,
                 hi: 0,
             }],
-            ..Document::default()
-        }
+            NameTable::default(),
+            Vec::new(),
+            ValueTable::default(),
+            String::new(),
+        )
     }
+}
 
+impl Document {
     /// Assembles a document from tables built elsewhere (the streaming
     /// builder, `crate::stream`). The caller guarantees the tables are
     /// consistent and `nodes[0]` is the root.
@@ -459,9 +464,10 @@ impl Document {
         rec.is_element().then(|| self.names.get(rec.name).1)
     }
 
-    /// Interned tag of `id`, if it is an element.
+    /// Interned tag of `id`, if it is an element. Reads the document's
+    /// own name table, so it takes no interner lock.
     #[inline]
-    pub(crate) fn tag_sym(&self, id: NodeId) -> Option<Sym> {
+    pub fn tag_sym(&self, id: NodeId) -> Option<Sym> {
         let rec = self.rec(id);
         rec.is_element().then(|| self.names.get(rec.name).0)
     }
@@ -648,7 +654,7 @@ mod tests {
     use super::*;
 
     fn sample() -> (Document, NodeId, NodeId, NodeId) {
-        let mut d = Document::new();
+        let mut d = Document::default();
         let div = d.append_element(NodeId::ROOT, "div", [("class", "dealerlinks")]);
         let td = d.append_element(div, "td", []);
         let t = d.append_text(td, "PORTER FURNITURE");
@@ -664,7 +670,7 @@ mod tests {
         assert_eq!(d.children(div), &[td]);
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
-        assert!(Document::new().is_empty());
+        assert!(Document::default().is_empty());
     }
 
     #[test]
@@ -682,7 +688,7 @@ mod tests {
 
     #[test]
     fn same_tag_index_counts_only_same_tag() {
-        let mut d = Document::new();
+        let mut d = Document::default();
         let tr = d.append_element(NodeId::ROOT, "tr", []);
         let td1 = d.append_element(tr, "td", []);
         let _span = d.append_element(tr, "span", []);

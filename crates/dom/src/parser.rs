@@ -71,7 +71,7 @@ pub(crate) fn is_scope_boundary(tag: &str) -> bool {
 /// assert_eq!(texts, vec!["PORTER FURNITURE", "201 HWY"]);
 /// ```
 pub fn parse(input: &str) -> Document {
-    let mut doc = Document::new();
+    let mut doc = Document::default();
     // Stack of currently-open elements; the root is always open.
     let mut open: Vec<(NodeId, Cow<'_, str>)> = Vec::new();
 

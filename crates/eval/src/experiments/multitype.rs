@@ -113,11 +113,14 @@ fn learn_model_for_zips<F>(train: &[&GeneratedSite], labels_of: F) -> aw_rank::R
 where
     F: Fn(&GeneratedSite) -> NodeSet,
 {
-    use aw_rank::{list_features, segment_site, ListFeatures, PublicationModel, RankingModel};
+    use aw_rank::{
+        list_features, segment_site, ListFeatures, PublicationModel, RankingModel, SiteTokens,
+    };
     let annotator = learn_annotator(train, 1, &labels_of);
     let mut features = Vec::new();
     for site in train {
-        if let Some(f) = list_features(&segment_site(&site.site, &site.gold_types[1])) {
+        let tokens = SiteTokens::new(&site.site);
+        if let Some(f) = list_features(&segment_site(&tokens, &site.gold_types[1])) {
             features.push(f);
         }
     }

@@ -11,7 +11,7 @@ use aw_core::{Engine, NtwConfig, WrapperLanguage};
 use aw_induct::NodeSet;
 use aw_rank::{
     estimate_from_counts, list_features, segment_site, AnnotatorModel, ListFeatures,
-    PublicationModel, RankingMode, RankingModel,
+    PublicationModel, RankingMode, RankingModel, SiteTokens,
 };
 use aw_sitegen::GeneratedSite;
 use serde::Serialize;
@@ -78,7 +78,7 @@ where
                 fp += 1;
             }
         }
-        if let Some(f) = list_features(&segment_site(&site.site, gold)) {
+        if let Some(f) = list_features(&segment_site(&SiteTokens::new(&site.site), gold)) {
             features.push(f);
         }
     }

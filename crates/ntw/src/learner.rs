@@ -17,7 +17,7 @@ use aw_induct::{
     DomTableInductor, FeatureBased, HlrtInductor, ItemSet, LrInductor, NodeSet, Site,
     WrapperInductor, XPathInductor,
 };
-use aw_rank::{RankingModel, WrapperScore};
+use aw_rank::{RankingModel, SiteTokens, WrapperScore};
 
 /// One ranked candidate wrapper.
 #[derive(Clone, Debug)]
@@ -179,11 +179,13 @@ pub(crate) fn rank_space(
 ) -> NtwOutcome {
     let inductor_calls = space.inductor_calls;
     let wrapper_space_size = space.len();
+    // One token stream for the whole space, dropped with this call.
+    let tokens = SiteTokens::new(site);
     let mut ranked: Vec<LearnedWrapper> = space
         .wrappers
         .into_iter()
         .map(|w| {
-            let score = model.score(site, labels, &w.extraction);
+            let score = model.score_with(&tokens, labels, &w.extraction);
             LearnedWrapper {
                 extraction: w.extraction,
                 rule: w.rule,

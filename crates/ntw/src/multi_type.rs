@@ -18,7 +18,9 @@ use crate::learner::subsample;
 use aw_dom::PageNode;
 use aw_enum::top_down;
 use aw_induct::{NodeSet, Site, WrapperInductor, XPathInductor};
-use aw_rank::{list_features_pinned, segment_site_typed, AnnotatorModel, PublicationModel};
+use aw_rank::{
+    list_features_pinned, segment_site_typed, AnnotatorModel, PublicationModel, SiteTokens,
+};
 
 /// An assembled record: one node per type (type 1 may be missing when the
 /// page interleaving tolerates it).
@@ -96,11 +98,12 @@ pub fn learn_multi_type(
         .map(|sp| sp.iter().map(|x| inductor.rule(x)).collect())
         .collect();
 
-    // Score every pair.
+    // Score every pair over one token stream of the site.
+    let tokens = SiteTokens::new(site);
     let mut ranked: Vec<MultiTypeWrapper> = Vec::new();
     for (i, x0) in spaces[0].iter().enumerate() {
         for (j, x1) in spaces[1].iter().enumerate() {
-            let score = score_pair(site, labels, [x0, x1], model);
+            let score = score_pair(&tokens, labels, [x0, x1], model);
             let records = assemble_records(site, x0, x1);
             ranked.push(MultiTypeWrapper {
                 extractions: vec![x0.clone(), x1.clone()],
@@ -122,7 +125,12 @@ pub fn learn_multi_type(
     }
 }
 
-fn score_pair(site: &Site, labels: &[NodeSet; 2], x: [&NodeSet; 2], model: &MultiTypeModel) -> f64 {
+fn score_pair(
+    tokens: &SiteTokens,
+    labels: &[NodeSet; 2],
+    x: [&NodeSet; 2],
+    model: &MultiTypeModel,
+) -> f64 {
     // Annotation terms multiply (sum in log space).
     let mut total = 0.0;
     for t in 0..2 {
@@ -131,7 +139,7 @@ fn score_pair(site: &Site, labels: &[NodeSet; 2], x: [&NodeSet; 2], model: &Mult
         total += model.annotators[t].log_likelihood(hits, unlabeled);
     }
     // Publication term on typed segments with the alignment constraint.
-    let segments = segment_site_typed(site, &[x[0].clone(), x[1].clone()]);
+    let segments = segment_site_typed(tokens, &x);
     let features = list_features_pinned(&segments, model.pin_indel_cost);
     total += model.publication.log_prob(features);
     total

@@ -11,6 +11,7 @@
 //! deployed extractions are checked against.
 
 use crate::scorer::{RankingModel, WrapperScore};
+use crate::segmentation::SiteTokens;
 use aw_dom::PageNode;
 use aw_induct::{NodeSet, Site};
 use aw_pool::Executor;
@@ -30,11 +31,12 @@ pub struct SiteSpace<'a> {
 /// Scores many sites' candidate spaces in one page-parallel pass: one
 /// [`BatchEvaluator`] per site for extraction (template-cached when
 /// `cache` is on), each applied only to its own site's pages, then
-/// Equation 1 per candidate (also through the executor). `out[s]` is
+/// Equation 1 per candidate (also through the executor) over one token
+/// stream per site that all of the site's candidates share. `out[s]` is
 /// aligned with `spaces[s].paths`: each entry is the candidate's union
-/// over site `s`'s pages and [`RankingModel::score`] of it. Output is deterministic at every
-/// thread count and nests inside site-parallel loops on the same
-/// executor.
+/// over site `s`'s pages and [`RankingModel::score`] of it. Output is
+/// deterministic at every thread count and nests inside site-parallel
+/// loops on the same executor.
 pub fn score_xpath_spaces(
     model: &RankingModel,
     spaces: &[SiteSpace<'_>],
@@ -73,8 +75,9 @@ pub fn score_xpath_spaces(
         .enumerate()
         .flat_map(|(s, xs)| xs.into_iter().map(move |x| (s, x)))
         .collect();
+    let tokens: Vec<SiteTokens> = exec.map(spaces, |space| SiteTokens::new(space.site));
     let scores = exec.map(&tasks, |(s, x)| {
-        model.score(spaces[*s].site, spaces[*s].labels, x)
+        model.score_with(&tokens[*s], spaces[*s].labels, x)
     });
 
     let mut out: Vec<Vec<(NodeSet, WrapperScore)>> = spaces.iter().map(|_| Vec::new()).collect();

@@ -11,15 +11,27 @@
 //! * [`scorer`] — the combined model plus the NTW-L / NTW-X ablation
 //!   variants of §7.3.
 //!
+//! `P(X)` is computed on symbols: a site's pages become one `u32` token
+//! stream ([`SiteTokens`]: tag symbols, one reserved id for text), built
+//! once per ranking call and shared by every candidate; a candidate's
+//! segments are ranges into it, and the alignment kernels of `aw-align`
+//! compare integers in reused rows. Scoring a candidate therefore
+//! allocates a handful of buffers, not a string per token, and its
+//! features are bit-identical to the string-token formulation (a
+//! test-only oracle holds them to it).
+//!
 //! Applications reach this crate through `aw_core::Engine`
 //! (`engine.rank`, `engine.learn_sites`), which scores the extractions
-//! enumeration produced with [`RankingModel::score`]. [`batch`] keeps
-//! [`score_xpath_spaces`], a per-site batch re-evaluation of rendered
-//! xpath candidates, as the reference those extractions are checked
-//! against.
+//! enumeration produced with [`RankingModel::score_with`] over one stream
+//! per site ([`RankingModel::score`] builds the stream for a single
+//! call). [`batch`] keeps [`score_xpath_spaces`], a per-site batch
+//! re-evaluation of rendered xpath candidates, as the reference those
+//! extractions are checked against.
 
 pub mod annotation;
 pub mod batch;
+#[cfg(test)]
+mod oracle;
 pub mod publication;
 pub mod scorer;
 pub mod segmentation;
@@ -30,4 +42,6 @@ pub use publication::{
     list_features, list_features_pinned, KernelOverride, ListFeatures, PublicationModel,
 };
 pub use scorer::{RankingMode, RankingModel, WrapperScore};
-pub use segmentation::{segment_site, segment_site_typed, Segment, TEXT_TOKEN};
+pub use segmentation::{
+    segment_site, segment_site_typed, Segment, Segments, SiteTokens, TEXT_TOKEN,
+};

@@ -13,8 +13,10 @@
 //! density estimation from sample sites (§6.1); `P(X)` is the product of
 //! the two feature probabilities.
 
-use crate::segmentation::Segment;
-use aw_align::{edit_distance, edit_distance_pinned, longest_common_substring, KernelDensity};
+use crate::segmentation::{Segments, TEXT_TOKEN};
+use aw_align::{
+    edit_distance, edit_distance_pinned, longest_common_substring, KernelDensity, Rows, NO_PIN,
+};
 
 /// Cap on the number of segments examined pairwise; larger segment lists
 /// are down-sampled evenly (deterministically).
@@ -33,7 +35,7 @@ pub struct ListFeatures {
 /// Computes the features of a segment list; `None` if fewer than two
 /// segments exist (single-entity lists have no repeating structure to
 /// measure — Appendix B.2).
-pub fn list_features(segments: &[Segment]) -> Option<ListFeatures> {
+pub fn list_features(segments: &Segments<'_>) -> Option<ListFeatures> {
     list_features_pinned(segments, 1)
 }
 
@@ -41,26 +43,45 @@ pub fn list_features(segments: &[Segment]) -> Option<ListFeatures> {
 /// (Appendix A): nodes of each type must align with each other.
 /// `pin_indel_cost` is the penalty for dropping a typed node (use 1 for
 /// single-type, where pins are all equal anyway).
-pub fn list_features_pinned(segments: &[Segment], pin_indel_cost: usize) -> Option<ListFeatures> {
-    if segments.len() < 2 {
+///
+/// The pairwise kernels share one set of dynamic-programming rows.
+pub fn list_features_pinned(
+    segments: &Segments<'_>,
+    pin_indel_cost: usize,
+) -> Option<ListFeatures> {
+    let n = segments.len();
+    if n < 2 {
         return None;
     }
-    let sampled = sample_segments(segments);
-    let mut schema_sizes: Vec<f64> = Vec::new();
+    // Single-type segments are pinned only at their boundary (type 0),
+    // which the plain distance handles alike when dropping a pin costs
+    // 1; the pinned kernel runs when that cost is higher or a segment
+    // holds another type.
+    let pins = (pin_indel_cost > 1 || segments.is_typed()).then(|| segments.pin_table());
+    let single_type = |pins: &[u32]| pins.iter().all(|&p| p == NO_PIN || p == 0);
+    let m = n.min(MAX_SEGMENTS_FOR_PAIRS);
+    let mut rows = Rows::default();
+    let mut schema_sizes: Vec<f64> = Vec::with_capacity(m * (m - 1) / 2);
     let mut max_align = 0.0f64;
-    for i in 0..sampled.len() {
-        for j in (i + 1)..sampled.len() {
-            let (a, b) = (sampled[i], sampled[j]);
-            let range = longest_common_substring(&a.tokens, &b.tokens);
-            let texts = a.tokens[range]
-                .iter()
-                .filter(|t| *t == crate::segmentation::TEXT_TOKEN)
-                .count();
+    for i in 0..m {
+        let ia = sampled(n, i);
+        let a = segments.get(ia);
+        for j in (i + 1)..m {
+            let ib = sampled(n, j);
+            let b = segments.get(ib);
+            let range = longest_common_substring(a.tokens, b.tokens, &mut rows);
+            let texts = a.tokens[range].iter().filter(|&&t| t == TEXT_TOKEN).count();
             schema_sizes.push(texts as f64);
-            let d = if pin_indel_cost <= 1 && all_same_pin(a) && all_same_pin(b) {
-                edit_distance(&a.tokens, &b.tokens)
-            } else {
-                edit_distance_pinned(&a.tokens, &b.tokens, &a.pins, &b.pins, pin_indel_cost)
+            let d = match &pins {
+                Some(pins) => {
+                    let (pa, pb) = (&pins[segments.range(ia)], &pins[segments.range(ib)]);
+                    if pin_indel_cost <= 1 && single_type(pa) && single_type(pb) {
+                        edit_distance(a.tokens, b.tokens, &mut rows)
+                    } else {
+                        edit_distance_pinned(a.tokens, b.tokens, pa, pb, pin_indel_cost, &mut rows)
+                    }
+                }
+                None => edit_distance(a.tokens, b.tokens, &mut rows),
             };
             max_align = max_align.max(d as f64);
         }
@@ -71,23 +92,15 @@ pub fn list_features_pinned(segments: &[Segment], pin_indel_cost: usize) -> Opti
     })
 }
 
-fn all_same_pin(seg: &Segment) -> bool {
-    // Single-type segments have pins ∈ {None, Some(0)}; the pinned edit
-    // distance would forbid aligning the boundary #text with an inner
-    // #text, which is the desired constraint — but for speed we use the
-    // plain distance when every pin pattern is the trivial single-type one.
-    seg.pins.iter().all(|p| p.is_none() || *p == Some(0))
-}
-
-/// Evenly down-samples long segment lists so pairwise work stays bounded.
-fn sample_segments(segments: &[Segment]) -> Vec<&Segment> {
-    if segments.len() <= MAX_SEGMENTS_FOR_PAIRS {
-        return segments.iter().collect();
+/// The index of the `i`-th sampled segment of `n`: every segment when
+/// there are at most [`MAX_SEGMENTS_FOR_PAIRS`], otherwise an even
+/// (deterministic) stride so pairwise work stays bounded.
+fn sampled(n: usize, i: usize) -> usize {
+    if n <= MAX_SEGMENTS_FOR_PAIRS {
+        return i;
     }
-    let stride = segments.len() as f64 / MAX_SEGMENTS_FOR_PAIRS as f64;
-    (0..MAX_SEGMENTS_FOR_PAIRS)
-        .map(|i| &segments[(i as f64 * stride) as usize])
-        .collect()
+    let stride = n as f64 / MAX_SEGMENTS_FOR_PAIRS as f64;
+    (i as f64 * stride) as usize
 }
 
 /// Which feature kernels participate in `P(X)` — an ablation hook for
@@ -158,7 +171,7 @@ impl PublicationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segmentation::segment_site;
+    use crate::segmentation::{segment_site, SiteTokens};
     use aw_induct::{NodeSet, Site};
 
     fn flat_site() -> Site {
@@ -173,13 +186,16 @@ mod tests {
         texts.iter().flat_map(|t| site.find_text(t)).collect()
     }
 
+    fn features(site: &Site, x: &NodeSet) -> Option<ListFeatures> {
+        list_features(&segment_site(&SiteTokens::new(site), x))
+    }
+
     #[test]
     fn good_list_features_match_section_3() {
         // X1 = names only: schema size 4 (name, addr, zip, phone per
         // record), perfect alignment.
         let site = flat_site();
-        let segs = segment_site(&site, &x_of(&site, &["NAME1", "NAME2", "NAME3"]));
-        let f = list_features(&segs).unwrap();
+        let f = features(&site, &x_of(&site, &["NAME1", "NAME2", "NAME3"])).unwrap();
         assert_eq!(f.schema_size, 4.0);
         assert_eq!(f.alignment, 0.0);
     }
@@ -190,8 +206,7 @@ mod tests {
         // still perfectly aligned (§3).
         let site = flat_site();
         let all: NodeSet = site.text_nodes().iter().copied().collect();
-        let segs = segment_site(&site, &all);
-        let f = list_features(&segs).unwrap();
+        let f = features(&site, &all).unwrap();
         assert_eq!(f.schema_size, 1.0);
         assert_eq!(f.alignment, 0.0);
     }
@@ -200,18 +215,16 @@ mod tests {
     fn irregular_list_has_positive_alignment() {
         // X2-style: names and zips as boundaries → alternating gap sizes.
         let site = flat_site();
-        let segs = segment_site(
-            &site,
-            &x_of(&site, &["NAME1", "zip1", "NAME2", "zip2", "NAME3", "zip3"]),
-        );
-        let f = list_features(&segs).unwrap();
+        let x = x_of(&site, &["NAME1", "zip1", "NAME2", "zip2", "NAME3", "zip3"]);
+        let f = features(&site, &x).unwrap();
         assert!(f.alignment > 0.0, "{f:?}");
     }
 
     #[test]
     fn featureless_when_single_segment() {
         let site = flat_site();
-        let segs = segment_site(&site, &x_of(&site, &["NAME1", "NAME2"]));
+        let tokens = SiteTokens::new(&site);
+        let segs = segment_site(&tokens, &x_of(&site, &["NAME1", "NAME2"]));
         assert_eq!(segs.len(), 1);
         assert!(list_features(&segs).is_none());
     }
@@ -237,17 +250,13 @@ mod tests {
         ];
         let model = PublicationModel::learn(&train);
 
-        let good = list_features(&segment_site(
-            &site,
-            &x_of(&site, &["NAME1", "NAME2", "NAME3"]),
-        ))
-        .unwrap();
+        let good = features(&site, &x_of(&site, &["NAME1", "NAME2", "NAME3"])).unwrap();
         let all: NodeSet = site.text_nodes().iter().copied().collect();
-        let schema1 = list_features(&segment_site(&site, &all)).unwrap();
-        let irregular = list_features(&segment_site(
+        let schema1 = features(&site, &all).unwrap();
+        let irregular = features(
             &site,
             &x_of(&site, &["NAME1", "zip1", "NAME2", "zip2", "NAME3", "zip3"]),
-        ))
+        )
         .unwrap();
 
         let g = model.log_prob(Some(good));
@@ -260,14 +269,17 @@ mod tests {
 
     #[test]
     fn sampling_caps_pairwise_work() {
-        let seg = Segment {
-            tokens: vec!["li".into(), "#text".into()],
-            pins: vec![None, Some(0)],
-        };
-        let many: Vec<Segment> = (0..500).map(|_| seg.clone()).collect();
-        let f = list_features(&many).unwrap();
+        // 500 identical one-item records: 499 segments, sampled to 24.
+        let html = format!("<ul>{}</ul>", "<li>x</li>".repeat(500));
+        let site = Site::from_html(&[html]);
+        let all: NodeSet = site.text_nodes().iter().copied().collect();
+        let tokens = SiteTokens::new(&site);
+        let segs = segment_site(&tokens, &all);
+        assert_eq!(segs.len(), 499);
+        let f = list_features(&segs).unwrap();
         assert_eq!(f.alignment, 0.0);
         assert_eq!(f.schema_size, 1.0);
+        assert_eq!(sampled(499, MAX_SEGMENTS_FOR_PAIRS - 1), 478);
     }
 
     #[test]

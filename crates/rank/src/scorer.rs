@@ -3,7 +3,7 @@
 
 use crate::annotation::AnnotatorModel;
 use crate::publication::{list_features, ListFeatures, PublicationModel};
-use crate::segmentation::segment_site;
+use crate::segmentation::{segment_site, SiteTokens};
 use aw_induct::{NodeSet, Site};
 
 /// Which ranking components are active (§7.3).
@@ -71,7 +71,16 @@ impl RankingModel {
     }
 
     /// Scores extraction `x` against label set `labels` on `site`.
+    ///
+    /// Builds the site's token stream for this one call; to score many
+    /// candidates of one site, build it once and use
+    /// [`RankingModel::score_with`].
     pub fn score(&self, site: &Site, labels: &NodeSet, x: &NodeSet) -> WrapperScore {
+        self.score_with(&SiteTokens::new(site), labels, x)
+    }
+
+    /// [`RankingModel::score`] over a prebuilt token stream of the site.
+    pub fn score_with(&self, tokens: &SiteTokens, labels: &NodeSet, x: &NodeSet) -> WrapperScore {
         let hits = x.iter().filter(|n| labels.contains(n)).count();
         let unlabeled = x.len() - hits;
         let annotation = self.annotator.log_likelihood(hits, unlabeled);
@@ -79,8 +88,7 @@ impl RankingModel {
         let (publication, features) = match self.mode {
             RankingMode::AnnotationOnly => (0.0, None),
             _ => {
-                let segments = segment_site(site, x);
-                let features = list_features(&segments);
+                let features = list_features(&segment_site(tokens, x));
                 (self.publication.log_prob(features), features)
             }
         };
@@ -106,10 +114,11 @@ impl RankingModel {
         labels: &NodeSet,
         candidates: impl IntoIterator<Item = &'a NodeSet>,
     ) -> Vec<(usize, WrapperScore)> {
+        let tokens = SiteTokens::new(site);
         let mut scored: Vec<(usize, WrapperScore)> = candidates
             .into_iter()
             .enumerate()
-            .map(|(i, x)| (i, self.score(site, labels, x)))
+            .map(|(i, x)| (i, self.score_with(&tokens, labels, x)))
             .collect();
         scored.sort_by(|a, b| {
             b.1.total

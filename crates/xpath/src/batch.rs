@@ -609,13 +609,6 @@ impl BatchEvaluator {
     }
 
     fn evaluate_into(&self, doc: &Document, out: &mut [Vec<NodeId>]) {
-        // Not `is_empty()`: that is true for root-only documents, which still
-        // evaluate (to nothing or to the root for the empty path). Only a
-        // zero-node `Document::default()` lacks the root entirely.
-        #[allow(clippy::len_zero)]
-        if doc.len() == 0 {
-            return;
-        }
         let idx = doc.index();
         if let Some(cache) = &self.cache {
             let key = (doc.len() as u32, idx.template_fingerprint());

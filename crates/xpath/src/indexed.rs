@@ -21,13 +21,6 @@ use aw_dom::{DocIndex, Document, NodeId, Sym};
 
 /// Evaluates a compiled path, returning matching nodes in document order.
 pub fn evaluate_compiled(path: &CompiledXPath, doc: &Document) -> Vec<NodeId> {
-    // Not `is_empty()`: that is true for root-only documents, which still
-    // evaluate (to nothing or to the root for the empty path). Only a
-    // zero-node `Document::default()` lacks the root entirely.
-    #[allow(clippy::len_zero)]
-    if doc.len() == 0 {
-        return Vec::new();
-    }
     let idx = doc.index();
     let mut ctx: Vec<u32> = vec![doc.root().0];
     for step in &path.steps {

@@ -160,3 +160,36 @@ proptest! {
         prop_assert_eq!(si.record_layout(), oi.record_layout());
     }
 }
+
+/// `Document::default()` is the root-only document the classic parser
+/// starts from: every query on it answers "nothing" instead of
+/// panicking, exactly as on the parse of an empty page.
+#[test]
+fn default_document_is_root_only_and_answers_every_query() {
+    let doc = aw_dom::Document::default();
+    assert_eq!(doc.len(), 1);
+    assert!(doc.is_empty());
+    assert_eq!(doc.kind(NodeId::ROOT), NodeKind::Document);
+    assert_eq!(serialize(&doc), serialize(&parse("")));
+    assert!(serialize(&doc).is_empty());
+    assert!(doc.children(NodeId::ROOT).is_empty());
+    assert!(doc.preorder_all().eq(doc.ids()));
+    assert!(doc.index().record_layout().is_none());
+    let paths: Vec<aw_xpath::XPath> = ["//td/text()", "//text()", "/html/body"]
+        .iter()
+        .map(|p| aw_xpath::parse_xpath(p).expect("valid xpath"))
+        .collect();
+    for path in &paths {
+        assert!(
+            aw_xpath::reference::evaluate(path, &doc).is_empty(),
+            "{path}"
+        );
+        assert!(aw_xpath::evaluate(path, &doc).is_empty(), "{path}");
+    }
+    for cache in [false, true] {
+        let batch = aw_xpath::BatchEvaluator::from_xpaths(&paths).with_cache(cache);
+        let results = batch.evaluate(&doc);
+        assert_eq!(results.len(), paths.len());
+        assert!(results.iter().all(Vec::is_empty));
+    }
+}

@@ -3,6 +3,7 @@
 use aw_induct::{NodeSet, Site};
 use aw_rank::{
     list_features, segment_site, AnnotatorModel, ListFeatures, PublicationModel, RankingModel,
+    SiteTokens,
 };
 use aw_sitegen::{generate_dealers, DealersConfig};
 use proptest::prelude::*;
@@ -48,15 +49,16 @@ proptest! {
     fn segmentation_counts(seed in 0u64..300) {
         let ds = generate_dealers(&DealersConfig { sites: 1, pages_per_site: 3, seed, ..DealersConfig::default() });
         let gs = &ds.sites[0];
-        let segments = segment_site(&gs.site, gs.gold());
+        let tokens = SiteTokens::new(&gs.site);
+        let segments = segment_site(&tokens, gs.gold());
         let expected: usize = (0..gs.site.page_count() as u32)
             .map(|p| gs.gold().iter().filter(|n| n.page == p).count().saturating_sub(1))
             .sum();
         prop_assert_eq!(segments.len(), expected);
-        for seg in &segments {
+        for seg in segments.iter() {
             prop_assert!(!seg.is_empty());
-            prop_assert_eq!(seg.tokens[0].as_str(), aw_rank::TEXT_TOKEN);
-            prop_assert_eq!(seg.pins[0], Some(0));
+            prop_assert_eq!(seg.tokens[0], aw_rank::TEXT_TOKEN);
+            prop_assert_eq!(seg.pin(0), Some(0));
         }
     }
 
@@ -69,7 +71,7 @@ proptest! {
         // Train on the first 4 sites.
         let feats: Vec<ListFeatures> = ds.sites[..4]
             .iter()
-            .filter_map(|s| list_features(&segment_site(&s.site, s.gold())))
+            .filter_map(|s| list_features(&segment_site(&SiteTokens::new(&s.site), s.gold())))
             .collect();
         prop_assume!(feats.len() >= 2);
         let model = RankingModel::new(AnnotatorModel::new(0.95, 0.3), PublicationModel::learn(&feats));
@@ -114,5 +116,5 @@ proptest! {
 #[test]
 fn empty_site_segmentation() {
     let site = Site::from_html(&["<div></div>"]);
-    assert!(segment_site(&site, &NodeSet::new()).is_empty());
+    assert!(segment_site(&SiteTokens::new(&site), &NodeSet::new()).is_empty());
 }
