@@ -1,11 +1,11 @@
 //! Criterion microbenchmarks for the enumeration algorithms (§4):
 //! TopDown vs BottomUp vs Naive on the paper's Example 1 TABLE and on a
-//! DEALERS site with the XPATH inductor.
+//! DEALERS site with the XPATH and LR inductors.
 
 use aw_annotate::{DictionaryAnnotator, MatchMode};
 use aw_enum::{bottom_up, naive, top_down};
 use aw_induct::table::{example1_inductor, example1_labels};
-use aw_induct::{NodeSet, XPathInductor};
+use aw_induct::{LrInductor, NodeSet, XPathInductor};
 use aw_sitegen::{generate_dealers, DealersConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -40,5 +40,21 @@ fn bench_xpath_site(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_table, bench_xpath_site);
+fn bench_lr_site(c: &mut Criterion) {
+    let ds = generate_dealers(&DealersConfig::small(1, 0xBE7C));
+    let site = &ds.sites[0].site;
+    let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
+    let labels: NodeSet = annot.annotate(site);
+    let inductor = LrInductor::new(site);
+    let mut g = c.benchmark_group("enumerate/lr_dealer_site");
+    g.bench_function("bottom_up", |b| {
+        b.iter(|| bottom_up(&inductor, black_box(&labels)))
+    });
+    g.bench_function("top_down", |b| {
+        b.iter(|| top_down(&inductor, black_box(&labels)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_table, bench_xpath_site, bench_lr_site);
 criterion_main!(benches);

@@ -758,7 +758,7 @@ impl Document {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::interner::intern;
     use crate::parser::parse;
@@ -1093,7 +1093,7 @@ mod tests {
 
     /// Every page of a small sitegen corpus (DEALERS, DISC, PRODUCTS and
     /// one template evolution), as HTML.
-    fn sitegen_corpus() -> Vec<String> {
+    pub(crate) fn sitegen_corpus() -> Vec<String> {
         let mut sites = Vec::new();
         sites.extend(aw_sitegen::generate_dealers(&aw_sitegen::DealersConfig::small(6, 3)).sites);
         sites.extend(aw_sitegen::generate_disc(&aw_sitegen::DiscConfig::small(3, 5)).sites);

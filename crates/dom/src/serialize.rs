@@ -28,24 +28,45 @@ pub struct TextSpan {
 pub struct SerializedPage {
     /// The HTML string.
     pub html: String,
-    /// One span per text node, in document order.
+    /// One span per text node, in document order. Documents are pre-order
+    /// by construction, so the spans are sorted by node id, by start and by
+    /// end alike, and never overlap: both lookups below binary-search them.
     pub spans: Vec<TextSpan>,
 }
 
 impl SerializedPage {
-    /// Text nodes whose spans lie entirely within `[start, end)`.
-    pub fn nodes_in_range(&self, start: usize, end: usize) -> Vec<NodeId> {
-        self.spans
-            .iter()
-            .filter(|s| s.start >= start && s.end <= end)
-            .map(|s| s.node)
-            .collect()
+    /// Text nodes whose spans lie entirely within `[start, end)`, in
+    /// document order: one contiguous run of spans, found by two binary
+    /// searches, so the spans visited are the nodes returned.
+    pub fn nodes_in_range(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let from = self.spans.partition_point(|s| compared(s.start < start));
+        let to = self.spans.partition_point(|s| compared(s.end <= end));
+        self.spans[from..to.max(from)].iter().map(|s| s.node)
     }
 
     /// The span of a specific text node, if it exists on this page.
     pub fn span_of(&self, node: NodeId) -> Option<TextSpan> {
-        self.spans.iter().copied().find(|s| s.node == node)
+        let i = self.spans.partition_point(|s| compared(s.node < node));
+        self.spans.get(i).copied().filter(|s| s.node == node)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Span comparisons the lookups above made on this thread.
+    static SPAN_COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One span comparison of a lookup; counted in tests, free otherwise.
+#[inline(always)]
+fn compared(outcome: bool) -> bool {
+    #[cfg(test)]
+    SPAN_COMPARISONS.with(|c| c.set(c.get() + 1));
+    outcome
 }
 
 /// Serializes the document to HTML.
@@ -184,12 +205,13 @@ mod tests {
         let doc = parse("<td>aaa</td><td>bbb</td><td>ccc</td>");
         let page = serialize_with_spans(&doc);
         let s1 = page.spans[1];
+        let nodes = |start, end| page.nodes_in_range(start, end).collect::<Vec<_>>();
         // Exactly covering the second text node.
-        assert_eq!(page.nodes_in_range(s1.start, s1.end), vec![s1.node]);
+        assert_eq!(nodes(s1.start, s1.end), vec![s1.node]);
         // Covering everything.
-        assert_eq!(page.nodes_in_range(0, page.html.len()).len(), 3);
+        assert_eq!(nodes(0, page.html.len()).len(), 3);
         // Partially overlapping: excluded.
-        assert!(page.nodes_in_range(s1.start + 1, s1.end).is_empty());
+        assert!(nodes(s1.start + 1, s1.end).is_empty());
     }
 
     #[test]
@@ -253,6 +275,122 @@ mod tests {
         .join()
         .expect("serializer thread");
         assert_eq!(out, (true, 1));
+    }
+
+    /// The linear filters the binary searches replaced, kept as their
+    /// oracles.
+    fn nodes_in_range_linear(page: &SerializedPage, start: usize, end: usize) -> Vec<NodeId> {
+        page.spans
+            .iter()
+            .filter(|s| s.start >= start && s.end <= end)
+            .map(|s| s.node)
+            .collect()
+    }
+
+    fn span_of_linear(page: &SerializedPage, node: NodeId) -> Option<TextSpan> {
+        page.spans.iter().copied().find(|s| s.node == node)
+    }
+
+    /// `html[from..to]`, with `from` moved up and `to` down to char
+    /// boundaries (as the LR inductor cuts its contexts).
+    fn context(html: &str, mut from: usize, mut to: usize) -> &str {
+        while !html.is_char_boundary(from) {
+            from += 1;
+        }
+        while !html.is_char_boundary(to) {
+            to -= 1;
+        }
+        &html[from..to.max(from)]
+    }
+
+    #[test]
+    fn binary_searches_match_the_linear_oracles_on_the_sitegen_corpus() {
+        let (mut ranges, mut lr_spans) = (0usize, 0usize);
+        for html in crate::index::tests::sitegen_corpus() {
+            let page = serialize_with_spans(&parse(&html));
+            let (html, n) = (page.html.as_str(), page.html.len());
+            assert!(!page.spans.is_empty());
+            let doc_nodes = page.spans.last().map_or(0, |s| s.node.0 + 2);
+            for id in 0..doc_nodes {
+                let id = NodeId(id);
+                assert_eq!(page.span_of(id), span_of_linear(&page, id), "{id:?}");
+            }
+            let mut check = |start: usize, end: usize| {
+                let got: Vec<NodeId> = page.nodes_in_range(start, end).collect();
+                assert_eq!(
+                    got,
+                    nodes_in_range_linear(&page, start, end),
+                    "[{start}, {end})"
+                );
+                ranges += 1;
+            };
+            // Every text span, alone and stretched over its neighbours.
+            for (i, s) in page.spans.iter().enumerate() {
+                check(s.start, s.end);
+                check(s.start, s.end.saturating_sub(1));
+                check(s.start + 1, s.end);
+                let next = page.spans.get(i + 2).map_or(n, |t| t.end);
+                check(s.start, next);
+            }
+            // Empty, inverted, whole-page and out-of-range ranges.
+            for at in [0, 1, n / 2, n, n + 1, usize::MAX] {
+                check(at, at);
+                check(at, at.saturating_sub(1));
+                check(at, usize::MAX);
+                check(0, at);
+            }
+            // The spans LR rules match: delimiters cut from the contexts of
+            // every third text node, as the LR inductor learns them.
+            for s in page.spans.iter().step_by(3) {
+                for k in [1, 4, 16] {
+                    let left = context(html, s.start.saturating_sub(k), s.start);
+                    let right = context(html, s.end, (s.end + k).min(n));
+                    for (start, end) in aw_induct::lr::scan_spans(html, left, right) {
+                        check(start, end);
+                        lr_spans += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            ranges > 10_000 && lr_spans > 1_000,
+            "{ranges} ranges, {lr_spans} LR spans"
+        );
+    }
+
+    #[test]
+    fn lookups_on_a_32_000_record_page_compare_logarithmically_many_spans() {
+        // Every LR match of a 32 000-record page maps to its text node, and
+        // every text node to its span, with O(log n) span comparisons each.
+        // A linear filter would compare all 32 000 spans per lookup.
+        let n = 32_000;
+        let mut html = String::from("<div>");
+        for i in 0..n {
+            html.push_str(&format!("<b>x{i}</b>"));
+        }
+        html.push_str("</div>");
+        let page = serialize_with_spans(&parse(&html));
+        assert_eq!(page.spans.len(), n);
+        let matches = aw_induct::lr::scan_spans(&page.html, "<b>", "</b>");
+        assert_eq!(matches.len(), n);
+
+        let before = SPAN_COMPARISONS.with(std::cell::Cell::get);
+        let mut returned = 0;
+        for (start, end) in matches {
+            returned += page.nodes_in_range(start, end).len();
+        }
+        for span in &page.spans {
+            assert_eq!(page.span_of(span.node), Some(*span));
+        }
+        let comparisons = SPAN_COMPARISONS.with(std::cell::Cell::get) - before;
+        assert_eq!(returned, n, "one node per matched span");
+        // Three searches per record (two per range, one per node), each
+        // at most ⌈log2 n⌉ + 1 comparisons.
+        let per_search = n.next_power_of_two().trailing_zeros() as usize + 1;
+        assert!(
+            comparisons > 0 && comparisons <= 3 * n * per_search,
+            "{comparisons} span comparisons for {n} records"
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * [`naive()`] — the exhaustive baseline (2^|L| − 1 calls);
 //! * [`bottom_up()`] — Algorithm 1, blackbox, ≤ `k·|L|` calls (Theorems 1–2);
 //! * [`top_down()`] — Algorithm 2 for feature-based inductors, exactly `k`
-//!   calls (Theorem 3).
+//!   calls when distinct closed sets induce distinct wrappers (Theorem 3;
+//!   XPATH can exceed `k`).
 //!
 //! Applications normally reach this crate through `aw_core::Engine`
 //! (`engine.enumerate` returns the typed `WrapperSpace` wrapper around

@@ -188,6 +188,82 @@ mod tests {
         }
     }
 
+    /// Figures 2(a) and 2(b) at quick scale (`AW_SCALE=quick`: 24 DEALERS
+    /// sites, seed 0xDEA1, dictionary labels), one
+    /// `(site, |L|, TopDown, BottomUp, k)` row per labeled site in the
+    /// figure's order. The full-scale totals are LR TopDown 5 162,
+    /// BottomUp 39 469, k 5 143 and XPATH TopDown 3 026, BottomUp 22 015,
+    /// k 2 849.
+    const QUICK_LR: [(usize, usize, usize, usize, usize); 24] = [
+        (2, 2, 3, 4, 3),
+        (22, 2, 3, 4, 3),
+        (1, 3, 4, 9, 4),
+        (15, 3, 5, 10, 5),
+        (19, 3, 5, 10, 5),
+        (3, 4, 6, 17, 6),
+        (13, 4, 6, 18, 6),
+        (17, 4, 6, 17, 6),
+        (6, 5, 7, 28, 7),
+        (8, 4, 7, 19, 7),
+        (18, 4, 7, 19, 7),
+        (7, 5, 8, 28, 8),
+        (20, 4, 8, 21, 8),
+        (11, 6, 10, 39, 10),
+        (12, 7, 10, 56, 10),
+        (14, 6, 10, 42, 10),
+        (21, 7, 10, 55, 10),
+        (16, 6, 11, 44, 11),
+        (23, 6, 11, 46, 11),
+        (9, 6, 12, 54, 12),
+        (10, 8, 13, 75, 13),
+        (0, 7, 14, 70, 14),
+        (4, 9, 14, 101, 14),
+        (5, 9, 16, 111, 16),
+    ];
+    const QUICK_XPATH: [(usize, usize, usize, usize, usize); 24] = [
+        (2, 2, 3, 4, 3),
+        (15, 3, 3, 6, 3),
+        (22, 2, 3, 4, 3),
+        (1, 3, 4, 9, 4),
+        (6, 5, 4, 15, 4),
+        (8, 4, 5, 13, 5),
+        (17, 4, 5, 16, 5),
+        (16, 6, 6, 30, 6),
+        (18, 4, 6, 15, 6),
+        (19, 3, 6, 10, 5),
+        (20, 4, 6, 13, 5),
+        (0, 7, 7, 42, 7),
+        (3, 4, 7, 19, 7),
+        (7, 5, 7, 21, 6),
+        (14, 6, 8, 31, 7),
+        (21, 7, 8, 39, 8),
+        (5, 9, 9, 64, 9),
+        (11, 6, 9, 37, 8),
+        (12, 7, 9, 49, 9),
+        (13, 4, 9, 22, 9),
+        (23, 6, 9, 37, 8),
+        (10, 8, 10, 65, 10),
+        (9, 6, 11, 36, 8),
+        (4, 9, 17, 104, 14),
+    ];
+
+    #[test]
+    fn quick_scale_call_counts_are_pinned() {
+        let ds = generate_dealers(&DealersConfig::small(24, 0xDEA1));
+        let annotator = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
+        for (language, want) in [
+            (WrapperLanguage::Lr, &QUICK_LR[..]),
+            (WrapperLanguage::XPath, &QUICK_XPATH[..]),
+        ] {
+            let got: Vec<_> = run(&ds.sites, |s| annotator.annotate(&s.site), language)
+                .rows
+                .iter()
+                .map(|r| (r.site, r.labels, r.top_down, r.bottom_up, r.k))
+                .collect();
+            assert_eq!(got, want, "{language:?}");
+        }
+    }
+
     #[test]
     fn label_capping() {
         let many: NodeSet = (0..100u32)

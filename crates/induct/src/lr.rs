@@ -78,37 +78,38 @@ impl<'a> LrInductor<'a> {
         self.context_cap
     }
 
-    /// The left context (up to the cap) of a label's span.
-    fn left_context(&self, node: PageNode) -> Option<String> {
+    /// The left context (up to the cap) of a label's span, borrowed from
+    /// the page's serialization.
+    fn left_context(&self, node: PageNode) -> Option<&'a str> {
         let page = self.site.serialized(node.page);
         let span = page.span_of(node.node)?;
-        let from = span.start.saturating_sub(self.context_cap);
-        let mut from = from;
+        let mut from = span.start.saturating_sub(self.context_cap);
         while !page.html.is_char_boundary(from) {
             from += 1;
         }
-        Some(page.html[from..span.start].to_string())
+        Some(&page.html[from..span.start])
     }
 
-    /// The right context (up to the cap) of a label's span.
-    fn right_context(&self, node: PageNode) -> Option<String> {
+    /// The right context (up to the cap) of a label's span, borrowed from
+    /// the page's serialization.
+    fn right_context(&self, node: PageNode) -> Option<&'a str> {
         let page = self.site.serialized(node.page);
         let span = page.span_of(node.node)?;
         let mut to = (span.end + self.context_cap).min(page.html.len());
         while !page.html.is_char_boundary(to) {
             to -= 1;
         }
-        Some(page.html[span.end..to].to_string())
+        Some(&page.html[span.end..to])
     }
 
     /// Learns the LR rule from labels: longest common suffix of left
     /// contexts, longest common prefix of right contexts.
     pub fn learn(&self, labels: &ItemSet<PageNode>) -> LrRule {
-        let lefts: Vec<String> = labels
+        let lefts: Vec<&str> = labels
             .iter()
             .filter_map(|&l| self.left_context(l))
             .collect();
-        let rights: Vec<String> = labels
+        let rights: Vec<&str> = labels
             .iter()
             .filter_map(|&l| self.right_context(l))
             .collect();
@@ -232,17 +233,17 @@ impl FeatureBased for LrInductor<'_> {
     }
 
     fn subdivision(&self, s: &ItemSet<PageNode>, attr: &LrAttr) -> Vec<ItemSet<PageNode>> {
-        let mut groups: std::collections::BTreeMap<String, ItemSet<PageNode>> = Default::default();
+        let mut groups: std::collections::BTreeMap<&str, ItemSet<PageNode>> = Default::default();
         for &node in s {
-            let value = match attr {
+            let value = match *attr {
                 LrAttr::Left(k) => self
                     .left_context(node)
-                    .filter(|c| c.len() >= *k)
-                    .map(|c| suffix_at_boundary(&c, *k)),
+                    .filter(|c| c.len() >= k)
+                    .map(|c| suffix_at_boundary(c, k)),
                 LrAttr::Right(k) => self
                     .right_context(node)
-                    .filter(|c| c.len() >= *k)
-                    .map(|c| prefix_at_boundary(&c, *k)),
+                    .filter(|c| c.len() >= k)
+                    .map(|c| prefix_at_boundary(c, k)),
             };
             if let Some(v) = value {
                 groups.entry(v).or_default().insert(node);
@@ -252,20 +253,20 @@ impl FeatureBased for LrInductor<'_> {
     }
 }
 
-fn suffix_at_boundary(s: &str, k: usize) -> String {
+fn suffix_at_boundary(s: &str, k: usize) -> &str {
     let mut i = s.len() - k;
     while !s.is_char_boundary(i) {
         i += 1;
     }
-    s[i..].to_string()
+    &s[i..]
 }
 
-fn prefix_at_boundary(s: &str, k: usize) -> String {
+fn prefix_at_boundary(s: &str, k: usize) -> &str {
     let mut i = k.min(s.len());
     while !s.is_char_boundary(i) {
         i -= 1;
     }
-    s[..i].to_string()
+    &s[..i]
 }
 
 #[cfg(test)]

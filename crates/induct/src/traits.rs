@@ -67,6 +67,11 @@ pub trait FeatureBased: WrapperInductor {
     /// `subdivision(s, a)`: partitions the items of `s` that *have*
     /// attribute `a` into groups with equal value. Items lacking `a` are
     /// simply not covered (§4.2).
+    ///
+    /// An item's value of `a` must not depend on the other members of `s`,
+    /// so that `subdivision(s, a)` is `subdivision(L, a)` restricted to `s`
+    /// for every `s ⊆ L`: `aw_enum::top_down` partitions the full label
+    /// set once per attribute and relies on it.
     fn subdivision(&self, s: &ItemSet<Self::Item>, attr: &Self::Attr) -> Vec<ItemSet<Self::Item>>;
 }
 

@@ -7,7 +7,9 @@ use aw_rank::RankingMode;
 pub enum Enumeration {
     /// Algorithm 1 — works for any well-behaved blackbox inductor.
     BottomUp,
-    /// Algorithm 2 — requires a feature-based inductor; exactly `k` calls.
+    /// Algorithm 2 — requires a feature-based inductor; one call per
+    /// member of its subset family, `k` when distinct closed sets induce
+    /// distinct wrappers.
     TopDown,
     /// Exhaustive 2^|L| − 1 baseline (only for tiny label sets / tests).
     Naive,

@@ -439,12 +439,29 @@ impl HealthTracker {
                 if unretained > 0 {
                     unretained -= 1;
                 } else {
-                    state
-                        .retained
-                        .push_back((page.html.to_string(), page.is_empty()));
-                    while state.retained.len() > t.retain_pages {
-                        state.retained.pop_front();
-                    }
+                    // A full ring hands its oldest page's buffer to the
+                    // newest when it fits closely: a site that keeps
+                    // serving pages of one shape retains them without
+                    // allocating, and no retained buffer keeps more than
+                    // 1/8 spare (unbounded reuse grows every buffer to
+                    // the largest page seen).
+                    let evicted = if state.retained.len() >= t.retain_pages {
+                        state.retained.pop_front().map(|(html, _)| html)
+                    } else {
+                        None
+                    };
+                    let len = page.html.len();
+                    let html = match evicted
+                        .filter(|html| (len..=len + len / 8).contains(&html.capacity()))
+                    {
+                        Some(mut html) => {
+                            html.clear();
+                            html.push_str(page.html);
+                            html
+                        }
+                        None => page.html.to_string(),
+                    };
+                    state.retained.push_back((html, page.is_empty()));
                 }
             }
             if !page.is_empty() && state.baseline.is_none() {

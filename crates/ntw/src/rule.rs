@@ -255,4 +255,32 @@ mod tests {
         let hlrt = LearnedRule::learn(&site, WrapperLanguage::Hlrt, &labels(&site));
         assert!(hlrt.apply(&unrelated).is_empty());
     }
+
+    #[test]
+    fn lr_and_hlrt_extract_every_record_of_a_large_page() {
+        // One 32 000-record page: every record comes back, in document
+        // order. (The span lookups behind it are bounded by comparison
+        // count in `aw_dom::serialize`'s tests.)
+        let n = 32_000;
+        let mut html = String::from("<div>");
+        for i in 0..n {
+            html.push_str(&format!("<b>x{i}</b>"));
+        }
+        html.push_str("</div>");
+        let doc = aw_dom::parse(&html);
+        let lr = LrRule {
+            left: "<b>".into(),
+            right: "</b>".into(),
+        };
+        let nodes = LearnedRule::Lr(lr.clone()).apply(&doc);
+        assert_eq!(nodes.len(), n);
+        assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(doc.text(nodes[n - 1]), Some("x31999"));
+        let hlrt = LearnedRule::Hlrt(HlrtRule {
+            head: "<div>".into(),
+            tail: "</div>".into(),
+            lr,
+        });
+        assert_eq!(hlrt.apply(&doc), nodes);
+    }
 }
