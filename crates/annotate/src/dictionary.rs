@@ -55,37 +55,48 @@ impl DictionaryAnnotator {
 
     /// Does this annotator label the given text?
     pub fn matches(&self, text: &str) -> bool {
-        let norm = normalize(text);
+        self.matches_in(text, &mut String::new())
+    }
+
+    /// [`Self::matches`], normalizing `text` into `norm` (cleared first),
+    /// a buffer callers reuse across texts.
+    fn matches_in(&self, text: &str, norm: &mut String) -> bool {
+        normalize_into(text, norm);
+        let norm = norm.as_str();
         if norm.is_empty() {
             return false;
         }
         match self.mode {
-            MatchMode::Exact => self.entries.contains(&norm),
+            MatchMode::Exact => self.entries.contains(norm),
             MatchMode::Contains => {
-                if self.entries.contains(&norm) {
-                    return true;
-                }
                 // Check every word-aligned window; dictionary entries are
-                // typically 1–5 words, so bound the window size.
-                let words: Vec<&str> = norm.split(' ').collect();
-                for start in 0..words.len() {
-                    for end in (start + 1)..=(start + 5).min(words.len()) {
-                        if self.entries.contains(&words[start..end].join(" ")) {
-                            return true;
-                        }
-                    }
-                }
-                false
+                // typically 1–5 words, so bound the window size. Words are
+                // separated by single spaces, so a window is a slice.
+                let spaces =
+                    |from: usize| norm[from..].match_indices(' ').map(move |(i, _)| from + i);
+                self.entries.contains(norm)
+                    || std::iter::once(0)
+                        .chain(spaces(0).map(|i| i + 1))
+                        .any(|start| {
+                            spaces(start)
+                                .chain([norm.len()])
+                                .take(5)
+                                .any(|end| self.entries.contains(&norm[start..end]))
+                        })
             }
         }
     }
 
     /// Labels every matching text node of a site.
     pub fn annotate(&self, site: &aw_induct::Site) -> aw_induct::NodeSet {
+        let mut norm = String::new();
         site.text_nodes()
             .iter()
             .copied()
-            .filter(|&n| site.text_of(n).is_some_and(|t| self.matches(t)))
+            .filter(|&n| {
+                site.text_of(n)
+                    .is_some_and(|t| self.matches_in(t, &mut norm))
+            })
             .collect()
     }
 }
@@ -94,6 +105,14 @@ impl DictionaryAnnotator {
 /// dictionary keys and node text alike.
 fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    normalize_into(s, &mut out);
+    out
+}
+
+/// [`normalize`] into `out`, replacing its contents: words separated by
+/// single spaces, no leading or trailing space.
+fn normalize_into(s: &str, out: &mut String) {
+    out.clear();
     let mut in_ws = true;
     for c in s.chars() {
         if c.is_whitespace() {
@@ -111,7 +130,6 @@ fn normalize(s: &str) -> String {
     while out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
 /// A PageNode set convenience used in tests and docs.
@@ -173,6 +191,89 @@ mod tests {
         let d = DictionaryAnnotator::new(Vec::<String>::new(), MatchMode::Contains);
         assert!(d.annotate(&site).is_empty());
         assert!(d.is_empty());
+    }
+
+    /// The matcher as first written: every window joined into a fresh
+    /// string. [`DictionaryAnnotator::matches`] must agree with it.
+    fn join_matches(d: &DictionaryAnnotator, text: &str) -> bool {
+        let norm = normalize(text);
+        if norm.is_empty() {
+            return false;
+        }
+        if d.entries.contains(&norm) {
+            return true;
+        }
+        if d.mode == MatchMode::Exact {
+            return false;
+        }
+        let words: Vec<&str> = norm.split(' ').collect();
+        (0..words.len()).any(|start| {
+            ((start + 1)..=(start + 5).min(words.len()))
+                .any(|end| d.entries.contains(&words[start..end].join(" ")))
+        })
+    }
+
+    #[test]
+    fn windows_agree_with_the_join_oracle_on_whitespace_and_case() {
+        let entries = ["Main Street", "ÉCOLE", "a b c d e", "x", "straße nord"];
+        let texts = [
+            "",
+            " ",
+            "\u{a0}MAIN\u{2003}street\t",
+            "123 main  street suite",
+            "école\u{3000}des arts",
+            "ÉCOLE",
+            "z a b c d e",
+            "a b c d e f",
+            "a b c d",
+            "X",
+            "xx",
+            "STRASSE NORD",
+            "Straße\nNord 4",
+            "İstanbul x",
+            "main\u{85}street",
+        ];
+        for mode in [MatchMode::Exact, MatchMode::Contains] {
+            let d = DictionaryAnnotator::new(entries, mode);
+            for text in texts {
+                assert_eq!(d.matches(text), join_matches(&d, text), "{mode:?} {text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn windows_agree_with_the_join_oracle_on_every_corpus_text_node() {
+        use aw_sitegen::{
+            generate_dealers, generate_disc, generate_products, DealersConfig, DiscConfig,
+            ProductsConfig,
+        };
+        let dealers = generate_dealers(&DealersConfig::small(6, 0xA11));
+        let disc = generate_disc(&DiscConfig::small(4, 0xA12));
+        let products = generate_products(&ProductsConfig::small(4, 0xA13));
+        let corpora = [
+            (&dealers.sites, &dealers.dictionary),
+            (&disc.sites, &disc.track_dictionary),
+            (&disc.sites, &disc.title_dictionary),
+            (&products.sites, &products.dictionary),
+        ];
+        let mut labeled = 0;
+        for (sites, dictionary) in corpora {
+            for mode in [MatchMode::Exact, MatchMode::Contains] {
+                let d = DictionaryAnnotator::new(dictionary.iter(), mode);
+                for gs in sites {
+                    let site = &gs.site;
+                    let oracle: Labels = site
+                        .text_nodes()
+                        .iter()
+                        .copied()
+                        .filter(|&n| join_matches(&d, site.text_of(n).unwrap()))
+                        .collect();
+                    assert_eq!(d.annotate(site), oracle, "{mode:?}");
+                    labeled += oracle.len();
+                }
+            }
+        }
+        assert!(labeled > 100, "{labeled}");
     }
 
     #[test]

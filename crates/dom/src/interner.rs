@@ -15,10 +15,10 @@
 //! take the shared read path, so parallel index builds do not contend.
 //!
 //! Scope discipline: only **bounded** vocabularies belong here — tag
-//! names, attribute names, and the literal values of compiled xpath
-//! queries. Per-document attribute *values* (hrefs, ids — unbounded in
-//! a crawl) are interned per-`DocIndex` instead, precisely so this
-//! leaked global table cannot grow without bound.
+//! names and attribute names. Attribute *values* (hrefs, ids — unbounded
+//! in a crawl, and in the rules learned from it) are interned
+//! per-`DocIndex` instead, and compiled xpaths keep theirs as strings,
+//! precisely so this leaked global table cannot grow without bound.
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};

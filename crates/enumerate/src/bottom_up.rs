@@ -42,14 +42,15 @@ where
             }
             let mut seed = s.clone();
             seed.insert(l);
-            // Step 7: w = φ(s ∪ ℓ); recorded in the space builder.
-            let extraction = builder.induce(inductor, &seed);
-            // Step 8: snew = φ̆(s ∪ ℓ).
-            let snew: ItemSet<I::Item> = labels
-                .iter()
-                .copied()
-                .filter(|x| extraction.contains(x))
-                .collect();
+            // Step 7: w = φ(s ∪ ℓ), recorded in the space builder; step 8:
+            // snew = φ̆(s ∪ ℓ).
+            let snew: ItemSet<I::Item> = builder.induce(inductor, &seed, |extraction| {
+                labels
+                    .iter()
+                    .copied()
+                    .filter(|x| extraction.contains(x))
+                    .collect()
+            });
             // Step 10–12: enqueue unless it is the full label set or known.
             if snew.len() < labels.len() && !expanded.contains(&snew) {
                 z.insert((snew.len(), snew));

@@ -37,7 +37,7 @@ where
             .filter(|(i, _)| mask & (1 << i) != 0)
             .map(|(_, &x)| x)
             .collect();
-        builder.induce(inductor, &subset);
+        builder.induce(inductor, &subset, |_| ());
     }
     builder.finish()
 }

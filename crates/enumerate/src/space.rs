@@ -7,7 +7,7 @@
 //! subset that produced it plus the rule string.
 
 use aw_induct::{ItemSet, WrapperInductor};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Debug;
 
 /// One distinct wrapper discovered during enumeration.
@@ -67,7 +67,8 @@ impl<T: Ord + Copy + Debug> EnumerationResult<T> {
 
 /// Accumulates wrappers, deduplicating by extraction.
 pub(crate) struct SpaceBuilder<T: Ord + Clone> {
-    by_extraction: BTreeMap<ItemSet<T>, EnumeratedWrapper<T>>,
+    /// Each distinct extraction's smallest seed and its rule.
+    by_extraction: BTreeMap<ItemSet<T>, (ItemSet<T>, String)>,
     calls: usize,
 }
 
@@ -79,32 +80,44 @@ impl<T: Ord + Copy + Debug> SpaceBuilder<T> {
         }
     }
 
-    /// Runs φ on `seed`, records the wrapper, and returns the extraction.
-    pub(crate) fn induce<I>(&mut self, inductor: &I, seed: &ItemSet<T>) -> ItemSet<T>
+    /// Runs φ on `seed`, shows the extraction to `inspect`, and records
+    /// the wrapper; returns what `inspect` returned.
+    pub(crate) fn induce<I, R>(
+        &mut self,
+        inductor: &I,
+        seed: &ItemSet<T>,
+        inspect: impl FnOnce(&ItemSet<T>) -> R,
+    ) -> R
     where
         I: WrapperInductor<Item = T>,
     {
         self.calls += 1;
-        let extraction = inductor.extract(seed);
-        let entry = self
-            .by_extraction
-            .entry(extraction.clone())
-            .or_insert_with(|| EnumeratedWrapper {
-                seed: seed.clone(),
-                extraction: extraction.clone(),
-                rule: inductor.rule(seed),
-            });
-        // Prefer the smallest (then lexicographically first) seed.
-        if seed.len() < entry.seed.len() {
-            entry.seed = seed.clone();
-            entry.rule = inductor.rule(seed);
+        let (extraction, rule) = inductor.extract_with_rule(seed);
+        let seen = inspect(&extraction);
+        match self.by_extraction.entry(extraction) {
+            Entry::Vacant(slot) => {
+                slot.insert((seed.clone(), rule));
+            }
+            // Prefer the smallest (then lexicographically first) seed.
+            Entry::Occupied(mut known) if seed.len() < known.get().0.len() => {
+                known.insert((seed.clone(), rule));
+            }
+            Entry::Occupied(_) => {}
         }
-        extraction
+        seen
     }
 
     pub(crate) fn finish(self) -> EnumerationResult<T> {
         EnumerationResult {
-            wrappers: self.by_extraction.into_values().collect(),
+            wrappers: self
+                .by_extraction
+                .into_iter()
+                .map(|(extraction, (seed, rule))| EnumeratedWrapper {
+                    seed,
+                    extraction,
+                    rule,
+                })
+                .collect(),
             inductor_calls: self.calls,
         }
     }
@@ -124,8 +137,8 @@ mod tests {
         let s2: ItemSet<Cell> = [Cell::new(1, 1), Cell::new(2, 1), Cell::new(4, 1)]
             .into_iter()
             .collect();
-        b.induce(&t, &s1);
-        b.induce(&t, &s2);
+        b.induce(&t, &s1, |_| ());
+        b.induce(&t, &s2, |_| ());
         let result = b.finish();
         assert_eq!(result.inductor_calls, 2);
         assert_eq!(result.len(), 1);

@@ -53,7 +53,7 @@ where
     let items: Vec<I::Item> = labels.iter().copied().collect();
     for row in subset_family(inductor, labels, &items).rows() {
         let seed: ItemSet<I::Item> = ones(row).map(|i| items[i]).collect();
-        builder.induce(inductor, &seed);
+        builder.induce(inductor, &seed, |_| ());
     }
     builder.finish()
 }
@@ -245,7 +245,7 @@ mod tests {
         let mut builder = SpaceBuilder::new();
         if !labels.is_empty() {
             for s in textbook_z(inductor, labels) {
-                builder.induce(inductor, &s);
+                builder.induce(inductor, &s, |_| ());
             }
         }
         builder.finish()

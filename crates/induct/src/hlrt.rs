@@ -189,15 +189,7 @@ impl WrapperInductor for HlrtInductor<'_> {
     type Item = PageNode;
 
     fn extract(&self, labels: &ItemSet<PageNode>) -> ItemSet<PageNode> {
-        if labels.is_empty() {
-            return ItemSet::new();
-        }
-        let mut out = self.apply(&self.learn(labels));
-        // Fidelity guard: HLRT's learned region always contains the labels
-        // by construction, but a label can straddle delimiter boundaries in
-        // degenerate cases; keep the inductor well-behaved by unioning.
-        out.extend(labels.iter().copied());
-        out
+        self.extract_with_rule(labels).0
     }
 
     fn rule(&self, labels: &ItemSet<PageNode>) -> String {
@@ -205,6 +197,19 @@ impl WrapperInductor for HlrtInductor<'_> {
             return "∅".into();
         }
         self.learn(labels).to_string()
+    }
+
+    fn extract_with_rule(&self, labels: &ItemSet<PageNode>) -> (ItemSet<PageNode>, String) {
+        if labels.is_empty() {
+            return (ItemSet::new(), "∅".into());
+        }
+        let rule = self.learn(labels);
+        let mut out = self.apply(&rule);
+        // Fidelity guard: HLRT's learned region always contains the labels
+        // by construction, but a label can straddle delimiter boundaries in
+        // degenerate cases; keep the inductor well-behaved by unioning.
+        out.extend(labels.iter().copied());
+        (out, rule.to_string())
     }
 
     fn universe(&self) -> ItemSet<PageNode> {

@@ -21,8 +21,17 @@
 //! §4: `extract = φ`) and, where the paper shows it possible, the
 //! [`FeatureBased`] interface that unlocks the optimal `TopDown`
 //! enumeration (§4.2).
+//!
+//! None of them builds a feature space (§5: a feature-based inductor "does
+//! not need to construct the feature space, as long as we can efficiently
+//! implement subdivision"). Building an inductor is free: LR and HLRT
+//! read label contexts out of the site's serialized pages, and XPATH
+//! computes a label's ancestor features the first time it is asked about
+//! and evaluates each learned xpath with `aw_xpath::evaluate_compiled`,
+//! which tests check against the serving `BatchEvaluator`. `attributes`
+//! and `subdivision` read labels only, so their cost follows the labels,
+//! not the size or depth of the pages.
 
-pub mod features;
 pub mod hlrt;
 pub mod lr;
 pub mod site;

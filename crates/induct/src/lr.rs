@@ -204,6 +204,14 @@ impl WrapperInductor for LrInductor<'_> {
         self.learn(labels).to_string()
     }
 
+    fn extract_with_rule(&self, labels: &ItemSet<PageNode>) -> (ItemSet<PageNode>, String) {
+        if labels.is_empty() {
+            return (ItemSet::new(), "∅".into());
+        }
+        let rule = self.learn(labels);
+        (self.apply(&rule), rule.to_string())
+    }
+
     fn universe(&self) -> ItemSet<PageNode> {
         self.site.text_nodes().iter().copied().collect()
     }

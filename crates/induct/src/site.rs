@@ -2,11 +2,12 @@
 //!
 //! Wrapper induction is site-level (§1): a wrapper is learned from labels
 //! on a site's pages and applied to all of them. `Site` owns the parsed
-//! pages plus the derived artifacts both inductors need — serialized
-//! strings with text spans (LR) and the global text-node list (XPATH).
+//! pages plus two derived artifacts: serialized strings with text spans
+//! (LR, HLRT) and the site's text nodes in page order (every inductor's
+//! universe, and what annotators label). The XPATH inductor derives what
+//! it needs from the documents on demand.
 
 use aw_dom::{serialize_with_spans, Document, NodeId, PageNode, SerializedPage};
-use std::collections::HashMap;
 
 /// An immutable set of same-script pages with cached derived data.
 #[derive(Debug)]
@@ -14,7 +15,6 @@ pub struct Site {
     pages: Vec<Document>,
     serialized: Vec<SerializedPage>,
     text_nodes: Vec<PageNode>,
-    text_index: HashMap<PageNode, u32>,
 }
 
 impl Site {
@@ -29,16 +29,10 @@ impl Site {
                 }
             }
         }
-        let text_index = text_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
         Site {
             pages,
             serialized,
             text_nodes,
-            text_index,
         }
     }
 
@@ -70,11 +64,6 @@ impl Site {
     /// All text nodes across pages, in (page, document-order) order.
     pub fn text_nodes(&self) -> &[PageNode] {
         &self.text_nodes
-    }
-
-    /// Dense index of a text node in [`Site::text_nodes`].
-    pub fn text_node_index(&self, node: PageNode) -> Option<u32> {
-        self.text_index.get(&node).copied()
     }
 
     /// The text content of a text node.
@@ -126,15 +115,6 @@ mod tests {
         assert_eq!(hits[0].page, 1);
         assert!(site.find_text("DELTA").is_empty());
         assert_eq!(site.text_of(hits[0]), Some("BETA"));
-    }
-
-    #[test]
-    fn text_node_index_is_dense() {
-        let site = two_page_site();
-        for (i, &n) in site.text_nodes().iter().enumerate() {
-            assert_eq!(site.text_node_index(n), Some(i as u32));
-        }
-        assert_eq!(site.text_node_index(PageNode::new(9, NodeId(1))), None);
     }
 
     #[test]

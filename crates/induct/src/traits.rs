@@ -45,6 +45,12 @@ pub trait WrapperInductor {
     /// inductor's native wrapper language.
     fn rule(&self, labels: &ItemSet<Self::Item>) -> String;
 
+    /// [`Self::extract`] and [`Self::rule`] of the same labels. Inductors
+    /// that must learn the rule to extract override it to learn once.
+    fn extract_with_rule(&self, labels: &ItemSet<Self::Item>) -> (ItemSet<Self::Item>, String) {
+        (self.extract(labels), self.rule(labels))
+    }
+
     /// The candidate universe (all items a wrapper could extract). Used by
     /// scoring (the `A` set of §6) and by tests.
     fn universe(&self) -> ItemSet<Self::Item>;

@@ -9,21 +9,36 @@
 //!   among same-tag siblings (the meaning of `td[2]`), and
 //! * `(i:attr:name, value)` for each of its HTML attributes.
 //!
-//! `φ(L)` is the set of text nodes whose features include the intersection
-//! of the labels' features — which corresponds to the most specific xpath
-//! of the fragment consistent with all labels, the fixpoint of the
-//! "specialize `//*` while keeping recall 1" induction of the original
-//! paper. [`XPathInductor::xpath`] renders that xpath.
+//! §4.2 defines `φ(L) = {n | F(n) ⊇ ⋂_{ℓ∈L} F(ℓ)}`. The labels' common
+//! features correspond to the most specific xpath of the fragment
+//! consistent with all labels, the fixpoint of the "specialize `//*` while
+//! keeping recall 1" induction of the original paper;
+//! [`XPathInductor::xpath`] renders it, and `φ(L)` is that xpath compiled
+//! and evaluated by `aw_xpath::evaluate_compiled` on every page of the
+//! site (`tests/xpath_differential.rs` and `tests/deployed_equals_scored.rs`
+//! check that engine against the serving `BatchEvaluator`).
+//!
+//! §5 notes that a feature-based inductor "does not need to construct the
+//! feature space, as long as we can efficiently implement subdivision".
+//! This one builds nothing for the site: a node's features are computed
+//! the first time enumeration asks about it (only labels are asked about),
+//! from its ancestor chain, and kept for the inductor's lifetime as a
+//! sorted run of [`XFeature`]s whose values are borrowed from the document
+//! or kept as integers. No posting lists exist; the labels' common
+//! features are the intersection of their runs.
 
-use crate::features::{intersect_features, FeatureMap, PostingIndex};
 use crate::site::Site;
 use crate::traits::{FeatureBased, ItemSet, WrapperInductor};
 use aw_dom::PageNode;
-use aw_xpath::{Axis, NodeTest, Predicate, Step, XPath};
+use aw_xpath::{evaluate_compiled, Axis, CompiledXPath, NodeTest, Predicate, Step, XPath};
+use std::cell::{Ref, RefCell};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
-/// Attribute identifiers of the XPATH feature space.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum XAttr {
+/// Attribute identifiers of the XPATH feature space. Attribute names are
+/// borrowed from the site's documents.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum XAttr<'a> {
     /// The labeled text node's 1-based index among its parent's
     /// *text-node* children — renders as `text()[k]`. This separates
     /// `<br>`-delimited record fields (name / street / city line), which
@@ -34,16 +49,103 @@ pub enum XAttr {
     /// `(pos:childnumber)`.
     ChildNum(u16),
     /// `(pos:attr:name)`.
-    Html(u16, String),
+    Html(u16, &'a str),
 }
 
-impl XAttr {
+impl XAttr<'_> {
+    /// The ancestor position the attribute describes (0 = the text node).
     fn position(&self) -> u16 {
-        match self {
+        match *self {
             XAttr::TextIndex => 0,
-            XAttr::Tag(p) | XAttr::ChildNum(p) => *p,
-            XAttr::Html(p, _) => *p,
+            XAttr::Tag(p) | XAttr::ChildNum(p) | XAttr::Html(p, _) => p,
         }
+    }
+}
+
+/// The value of an XPATH feature: a tag or attribute value borrowed from
+/// the document, or a sibling position.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum XValue<'a> {
+    /// [`XAttr::TextIndex`] and [`XAttr::ChildNum`] values.
+    Pos(u32),
+    /// [`XAttr::Tag`] and [`XAttr::Html`] values.
+    Str(&'a str),
+}
+
+/// One feature of a text node. Pairs sort by attribute first, so a
+/// node's sorted features (its *run*) hold each attribute at most once,
+/// in attribute order.
+pub type XFeature<'a> = (XAttr<'a>, XValue<'a>);
+
+/// The value `run` (sorted) holds for `attr`.
+fn value_of<'a>(run: &[XFeature<'a>], attr: XAttr) -> Option<XValue<'a>> {
+    let i = run.partition_point(|(a, _)| *a < attr);
+    run.get(i).filter(|(a, _)| *a == attr).map(|&(_, v)| v)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Ancestors whose features were computed on this thread.
+    static ANCESTORS_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The runs of the nodes asked about so far, stored back to back.
+#[derive(Debug, Default)]
+struct FeatureCache<'a> {
+    /// A node's run as a range of `features`.
+    runs: HashMap<PageNode, (u32, u32)>,
+    features: Vec<XFeature<'a>>,
+}
+
+impl<'a> FeatureCache<'a> {
+    /// Computes `node`'s run unless it is known or `node` is not a text
+    /// node of `site`.
+    fn ensure(&mut self, site: &'a Site, node: PageNode) {
+        let Some(doc) = site.pages().get(node.page as usize) else {
+            return;
+        };
+        if node.node.index() >= doc.len() || !doc.is_text(node.node) {
+            return;
+        }
+        let Entry::Vacant(slot) = self.runs.entry(node) else {
+            return;
+        };
+        let start = self.features.len();
+        let out = &mut self.features;
+        let idx = doc.index();
+        // Cached 1-based position among text-node siblings (0 = n/a).
+        let k = idx.text_pos(node.node);
+        if k > 0 {
+            out.push((XAttr::TextIndex, XValue::Pos(k)));
+        }
+        for (i, anc) in doc.ancestors(node.node).enumerate() {
+            #[cfg(test)]
+            ANCESTORS_VISITED.with(|n| n.set(n.get() + 1));
+            let pos = (i + 1) as u16;
+            let Some(tag) = doc.tag(anc) else {
+                break; // reached the document root
+            };
+            out.push((XAttr::Tag(pos), XValue::Str(tag)));
+            let k = idx.same_tag_pos(anc);
+            if k > 0 {
+                out.push((XAttr::ChildNum(pos), XValue::Pos(k)));
+            }
+            // One value per attribute, as intersecting runs needs: a
+            // repeated attribute name keeps its last value.
+            for (j, (name, value)) in doc.attributes(anc).enumerate() {
+                if !doc.attributes(anc).skip(j + 1).any(|(n, _)| n == name) {
+                    out.push((XAttr::Html(pos, name), XValue::Str(value)));
+                }
+            }
+        }
+        out[start..].sort_unstable();
+        slot.insert((start as u32, out.len() as u32));
+    }
+
+    /// The run of `node`, if it is a text node seen by [`Self::ensure`].
+    fn run(&self, node: PageNode) -> Option<&[XFeature<'a>]> {
+        let &(start, end) = self.runs.get(&node)?;
+        Some(&self.features[start as usize..end as usize])
     }
 }
 
@@ -51,24 +153,16 @@ impl XAttr {
 #[derive(Debug)]
 pub struct XPathInductor<'a> {
     site: &'a Site,
-    /// Feature map of each text node, indexed as in `site.text_nodes()`.
-    features: Vec<FeatureMap<XAttr, String>>,
-    index: PostingIndex<XAttr, String>,
+    cache: RefCell<FeatureCache<'a>>,
 }
 
 impl<'a> XPathInductor<'a> {
-    /// Builds the inductor (pre-computing features and posting lists).
+    /// Binds the inductor to `site`. Nothing is computed until labels are
+    /// asked about.
     pub fn new(site: &'a Site) -> Self {
-        let features: Vec<FeatureMap<XAttr, String>> = site
-            .text_nodes()
-            .iter()
-            .map(|&pn| Self::node_features(site, pn))
-            .collect();
-        let index = PostingIndex::build(&features);
         XPathInductor {
             site,
-            features,
-            index,
+            cache: RefCell::default(),
         }
     }
 
@@ -77,71 +171,52 @@ impl<'a> XPathInductor<'a> {
         self.site
     }
 
-    fn node_features(site: &Site, pn: PageNode) -> FeatureMap<XAttr, String> {
-        let (doc, id) = site.resolve(pn);
-        let idx = doc.index();
-        let mut map = FeatureMap::new();
-        // Cached 1-based position among text-node siblings (0 = n/a),
-        // replacing an O(siblings) rescan per labeled node.
-        let k = idx.text_pos(id);
-        if k > 0 {
-            map.insert(XAttr::TextIndex, k.to_string());
+    /// The feature cache, holding the runs of every text node of `nodes`.
+    fn runs_of(&self, nodes: &ItemSet<PageNode>) -> Ref<'_, FeatureCache<'a>> {
+        let mut cache = self.cache.borrow_mut();
+        for &node in nodes {
+            cache.ensure(self.site, node);
         }
-        for (i, anc) in doc.ancestors(id).enumerate() {
-            let pos = (i + 1) as u16;
-            let Some(tag) = doc.tag(anc) else {
-                break; // reached the document root
-            };
-            map.insert(XAttr::Tag(pos), tag.to_string());
-            let k = idx.same_tag_pos(anc);
-            if k > 0 {
-                map.insert(XAttr::ChildNum(pos), k.to_string());
-            }
-            for (name, value) in doc.attributes(anc) {
-                map.insert(XAttr::Html(pos, name.to_string()), value.to_string());
-            }
-        }
-        map
+        drop(cache);
+        self.cache.borrow()
     }
 
-    fn feature_map_of(&self, node: PageNode) -> Option<&FeatureMap<XAttr, String>> {
-        self.site
-            .text_node_index(node)
-            .map(|i| &self.features[i as usize])
-    }
-
-    /// The required feature set for a label set: the labels' common
-    /// features, minus every child number whose position keeps no tag.
+    /// The required feature set for a label set, sorted by attribute: the
+    /// labels' common features, minus every child number whose position
+    /// keeps no tag.
     ///
     /// A child number is a same-tag sibling position, so without its tag
     /// it has no xpath form (`*[k]` counts all element siblings). Dropping
     /// it keeps the hypothesis language exactly the renderable xpaths, and
     /// φ stays a closure operator: if `ChildNum(p)` survives for a label
     /// set, so does `Tag(p)` for every subset of it.
-    pub fn required_features(&self, labels: &ItemSet<PageNode>) -> FeatureMap<XAttr, String> {
-        let maps: Vec<&FeatureMap<XAttr, String>> = labels
-            .iter()
-            .filter_map(|&l| self.feature_map_of(l))
-            .collect();
-        let mut req = intersect_features(&maps);
+    pub fn required_features(&self, labels: &ItemSet<PageNode>) -> Vec<XFeature<'a>> {
+        let cache = self.runs_of(labels);
+        let mut runs = labels.iter().filter_map(|&l| cache.run(l));
+        // A node has one value per attribute, so the features every label
+        // has with equal values are the intersection of the sorted runs.
+        let mut req = runs.next().map_or_else(Vec::new, <[_]>::to_vec);
+        for run in runs {
+            req.retain(|f| run.binary_search(f).is_ok());
+        }
         let tagged: Vec<u16> = req
-            .keys()
-            .filter_map(|a| match a {
+            .iter()
+            .filter_map(|(a, _)| match a {
                 XAttr::Tag(p) => Some(*p),
                 _ => None,
             })
             .collect();
-        req.retain(|a, _| !matches!(a, XAttr::ChildNum(p) if !tagged.contains(p)));
+        req.retain(|(a, _)| !matches!(a, XAttr::ChildNum(p) if !tagged.contains(p)));
         req
     }
 
-    /// Renders the learned rule as an [`XPath`] of the fragment. It
-    /// selects exactly [`WrapperInductor::extract`] of the same labels on
-    /// every page of the site.
+    /// Renders the learned rule as an [`XPath`] of the fragment; its
+    /// evaluation on every page of the site is
+    /// [`WrapperInductor::extract`] of the same labels.
     pub fn xpath(&self, labels: &ItemSet<PageNode>) -> XPath {
         let req = self.required_features(labels);
-        let max_pos = req.keys().map(XAttr::position).max().unwrap_or(0);
-        let mut steps = Vec::new();
+        let max_pos = req.iter().map(|(a, _)| a.position()).max().unwrap_or(0);
+        let mut steps = Vec::with_capacity(max_pos as usize + 1);
         // Outermost ancestor first.
         for pos in (1..=max_pos).rev() {
             let axis = if pos == max_pos {
@@ -149,25 +224,24 @@ impl<'a> XPathInductor<'a> {
             } else {
                 Axis::Child
             };
-            let tag = req.get(&XAttr::Tag(pos));
-            let test = match tag {
-                Some(t) => NodeTest::Tag(t.clone()),
-                None => NodeTest::AnyElement,
+            let test = match value_of(&req, XAttr::Tag(pos)) {
+                Some(XValue::Str(tag)) => NodeTest::Tag(tag.to_string()),
+                _ => NodeTest::AnyElement,
             };
             let mut predicates = Vec::new();
-            if let Some(k) = req.get(&XAttr::ChildNum(pos)) {
-                if let Ok(k) = k.parse() {
-                    predicates.push(Predicate::Position(k));
-                }
+            if let Some(XValue::Pos(k)) = value_of(&req, XAttr::ChildNum(pos)) {
+                predicates.push(Predicate::Position(k as usize));
             }
-            for (attr, value) in req.iter() {
-                if let XAttr::Html(p, name) = attr {
-                    if *p == pos {
+            let html = req.partition_point(|(a, _)| *a < XAttr::Html(pos, ""));
+            for &feature in &req[html..] {
+                match feature {
+                    (XAttr::Html(p, name), XValue::Str(value)) if p == pos => {
                         predicates.push(Predicate::Attr {
-                            name: name.clone(),
-                            value: value.clone(),
-                        });
+                            name: name.to_string(),
+                            value: value.to_string(),
+                        })
                     }
+                    _ => break,
                 }
             }
             steps.push(Step {
@@ -184,10 +258,8 @@ impl<'a> XPathInductor<'a> {
             Axis::Child
         };
         let mut text_preds = Vec::new();
-        if let Some(k) = req.get(&XAttr::TextIndex) {
-            if let Ok(k) = k.parse() {
-                text_preds.push(Predicate::Position(k));
-            }
+        if let Some(XValue::Pos(k)) = value_of(&req, XAttr::TextIndex) {
+            text_preds.push(Predicate::Position(k as usize));
         }
         steps.push(Step {
             axis: text_axis,
@@ -195,6 +267,22 @@ impl<'a> XPathInductor<'a> {
             predicates: text_preds,
         });
         XPath::new(steps)
+    }
+
+    /// The nodes `path` selects on the site's pages, through
+    /// [`evaluate_compiled`].
+    fn apply(&self, path: &XPath) -> ItemSet<PageNode> {
+        let compiled = CompiledXPath::compile(path);
+        self.site
+            .pages()
+            .iter()
+            .enumerate()
+            .flat_map(|(p, doc)| {
+                evaluate_compiled(&compiled, doc)
+                    .into_iter()
+                    .map(move |id| PageNode::new(p as u32, id))
+            })
+            .collect()
     }
 }
 
@@ -205,12 +293,7 @@ impl WrapperInductor for XPathInductor<'_> {
         if labels.is_empty() {
             return ItemSet::new();
         }
-        let req = self.required_features(labels);
-        self.index
-            .matching(&req)
-            .into_iter()
-            .map(|i| self.site.text_nodes()[i as usize])
-            .collect()
+        self.apply(&self.xpath(labels))
     }
 
     fn rule(&self, labels: &ItemSet<PageNode>) -> String {
@@ -220,29 +303,41 @@ impl WrapperInductor for XPathInductor<'_> {
         self.xpath(labels).to_string()
     }
 
+    fn extract_with_rule(&self, labels: &ItemSet<PageNode>) -> (ItemSet<PageNode>, String) {
+        if labels.is_empty() {
+            return (ItemSet::new(), "∅".into());
+        }
+        let path = self.xpath(labels);
+        (self.apply(&path), path.to_string())
+    }
+
     fn universe(&self) -> ItemSet<PageNode> {
         self.site.text_nodes().iter().copied().collect()
     }
 }
 
-impl FeatureBased for XPathInductor<'_> {
-    type Attr = XAttr;
+impl<'a> FeatureBased for XPathInductor<'a> {
+    type Attr = XAttr<'a>;
 
-    fn attributes(&self, labels: &ItemSet<PageNode>) -> Vec<XAttr> {
-        let mut attrs: ItemSet<&XAttr> = ItemSet::new();
-        for &l in labels {
-            if let Some(map) = self.feature_map_of(l) {
-                attrs.extend(map.keys());
-            }
-        }
-        attrs.into_iter().cloned().collect()
+    fn attributes(&self, labels: &ItemSet<PageNode>) -> Vec<XAttr<'a>> {
+        let cache = self.runs_of(labels);
+        let mut attrs: Vec<XAttr<'a>> = labels
+            .iter()
+            .filter_map(|&l| cache.run(l))
+            .flatten()
+            .map(|&(a, _)| a)
+            .collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+        attrs
     }
 
-    fn subdivision(&self, s: &ItemSet<PageNode>, attr: &XAttr) -> Vec<ItemSet<PageNode>> {
-        let mut groups: std::collections::BTreeMap<&str, ItemSet<PageNode>> = Default::default();
+    fn subdivision(&self, s: &ItemSet<PageNode>, attr: &XAttr<'a>) -> Vec<ItemSet<PageNode>> {
+        let cache = self.runs_of(s);
+        let mut groups: BTreeMap<XValue, ItemSet<PageNode>> = BTreeMap::new();
         for &node in s {
-            if let Some(v) = self.feature_map_of(node).and_then(|m| m.get(attr)) {
-                groups.entry(v.as_str()).or_default().insert(node);
+            if let Some(v) = cache.run(node).and_then(|run| value_of(run, *attr)) {
+                groups.entry(v).or_default().insert(node);
             }
         }
         groups.into_values().collect()
@@ -272,6 +367,16 @@ mod tests {
         texts.iter().flat_map(|t| site.find_text(t)).collect()
     }
 
+    /// `path` evaluated by the reference interpreter on every page.
+    fn reference_extraction(site: &Site, path: &XPath) -> ItemSet<PageNode> {
+        (0..site.page_count() as u32)
+            .flat_map(|p| {
+                aw_xpath::reference::evaluate(path, site.page(p))
+                    .into_iter()
+                    .map(move |id| PageNode::new(p, id))
+            })
+            .collect()
+    }
     #[test]
     fn clean_labels_learn_the_intro_rule() {
         let site = dealer_site();
@@ -425,7 +530,7 @@ mod tests {
         // u(1), td(2), tr(3), div(4) → tag+childnum each, plus div class.
         assert!(attrs.contains(&XAttr::Tag(1)));
         assert!(attrs.contains(&XAttr::Tag(4)));
-        assert!(attrs.contains(&XAttr::Html(4, "class".into())));
+        assert!(attrs.contains(&XAttr::Html(4, "class")));
         assert!(!attrs.iter().any(|a| a.position() > 4));
     }
 
@@ -442,5 +547,323 @@ mod tests {
         let site = dealer_site();
         let ind = XPathInductor::new(&site);
         assert_eq!(ind.universe().len(), site.text_nodes().len());
+    }
+
+    #[test]
+    fn extract_with_rule_is_extract_and_rule_from_one_learn() {
+        let site = dealer_site();
+        let ind = XPathInductor::new(&site);
+        for texts in [
+            vec!["PORTER FURNITURE", "WOODLAND FURNITURE"],
+            vec!["201 HWY", "contact us"],
+            vec![],
+        ] {
+            let labels = labels_of(&site, &texts);
+            assert_eq!(
+                ind.extract_with_rule(&labels),
+                (ind.extract(&labels), ind.rule(&labels)),
+                "{texts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn features_are_computed_for_asked_nodes_only_once() {
+        let site = dealer_site();
+        let before = ANCESTORS_VISITED.with(|n| n.get());
+        let ind = XPathInductor::new(&site);
+        assert_eq!(
+            ANCESTORS_VISITED.with(|n| n.get()),
+            before,
+            "new builds nothing"
+        );
+        let labels = labels_of(&site, &["PORTER FURNITURE"]);
+        // The calls Algorithm 2 makes.
+        for attr in ind.attributes(&labels) {
+            for group in ind.subdivision(&labels, &attr) {
+                ind.extract_with_rule(&group);
+            }
+        }
+        // u, td, tr, div and the document root.
+        assert_eq!(ANCESTORS_VISITED.with(|n| n.get()) - before, 5);
+    }
+
+    #[test]
+    fn a_deep_page_costs_its_labels_ancestors_only() {
+        // `<div>t` nested 4 000 deep: 4 000 text nodes whose ancestor
+        // chains sum to 8 million entries if every text node's features
+        // were built. One label costs its own chain.
+        let depth = 4_000;
+        let html = "<div>t".repeat(depth);
+        let site = Site::from_html(&[html.as_str()]);
+        assert_eq!(site.text_nodes().len(), depth);
+        let before = ANCESTORS_VISITED.with(|n| n.get());
+        let ind = XPathInductor::new(&site);
+        let labels: ItemSet<PageNode> = site.text_nodes().last().copied().into_iter().collect();
+        let (extraction, rule) = ind.extract_with_rule(&labels);
+        let visited = ANCESTORS_VISITED.with(|n| n.get()) - before;
+        assert!(
+            visited <= labels.len() * depth + 1,
+            "{visited} ancestors visited for {} label(s) {depth} deep",
+            labels.len()
+        );
+        assert_eq!(extraction, reference_extraction(&site, &ind.xpath(&labels)));
+        assert_eq!(extraction, labels);
+        assert!(
+            rule.ends_with("/div[1]/text()[1]"),
+            "{}",
+            &rule[rule.len() - 40..]
+        );
+    }
+
+    /// The posting-index φ this inductor replaced, kept as its oracle:
+    /// every text node's feature map built up front, posting lists over
+    /// the whole site, and φ(L) the nodes holding all of the labels'
+    /// common features.
+    mod oracle {
+        use super::*;
+        use crate::traits::FeatureBased;
+        use aw_annotate::{DictionaryAnnotator, MatchMode};
+        use aw_sitegen::{
+            generate_dealers, generate_disc, generate_products, DealersConfig, DiscConfig,
+            ProductsConfig,
+        };
+        use std::collections::BTreeSet;
+
+        type FeatureMap<'s> = BTreeMap<XAttr<'s>, String>;
+
+        struct PostingIndexXPath<'s> {
+            site: &'s Site,
+            features: Vec<FeatureMap<'s>>,
+            dense: HashMap<PageNode, u32>,
+            postings: HashMap<(XAttr<'s>, String), Vec<u32>>,
+        }
+
+        impl<'s> PostingIndexXPath<'s> {
+            fn new(site: &'s Site) -> Self {
+                let features: Vec<FeatureMap> = site
+                    .text_nodes()
+                    .iter()
+                    .map(|&pn| Self::node_features(site, pn))
+                    .collect();
+                let mut postings: HashMap<(XAttr, String), Vec<u32>> = HashMap::new();
+                for (i, map) in features.iter().enumerate() {
+                    for (&a, v) in map {
+                        postings.entry((a, v.clone())).or_default().push(i as u32);
+                    }
+                }
+                let dense = (0..).zip(site.text_nodes()).map(|(i, &n)| (n, i)).collect();
+                PostingIndexXPath {
+                    site,
+                    features,
+                    dense,
+                    postings,
+                }
+            }
+
+            fn node_features(site: &'s Site, pn: PageNode) -> FeatureMap<'s> {
+                let (doc, id) = site.resolve(pn);
+                let idx = doc.index();
+                let mut map = FeatureMap::new();
+                let k = idx.text_pos(id);
+                if k > 0 {
+                    map.insert(XAttr::TextIndex, k.to_string());
+                }
+                for (i, anc) in doc.ancestors(id).enumerate() {
+                    let pos = (i + 1) as u16;
+                    let Some(tag) = doc.tag(anc) else {
+                        break;
+                    };
+                    map.insert(XAttr::Tag(pos), tag.to_string());
+                    let k = idx.same_tag_pos(anc);
+                    if k > 0 {
+                        map.insert(XAttr::ChildNum(pos), k.to_string());
+                    }
+                    for (name, value) in doc.attributes(anc) {
+                        map.insert(XAttr::Html(pos, name), value.to_string());
+                    }
+                }
+                map
+            }
+
+            fn required(&self, labels: &ItemSet<PageNode>) -> FeatureMap<'s> {
+                let maps: Vec<&FeatureMap> = labels
+                    .iter()
+                    .filter_map(|l| self.dense.get(l))
+                    .map(|&i| &self.features[i as usize])
+                    .collect();
+                let Some((first, rest)) = maps.split_first() else {
+                    return FeatureMap::new();
+                };
+                let mut req: FeatureMap = first
+                    .iter()
+                    .filter(|(a, v)| rest.iter().all(|m| m.get(a) == Some(v)))
+                    .map(|(&a, v)| (a, v.clone()))
+                    .collect();
+                let tagged: Vec<u16> = req
+                    .keys()
+                    .filter_map(|a| match a {
+                        XAttr::Tag(p) => Some(*p),
+                        _ => None,
+                    })
+                    .collect();
+                req.retain(|a, _| !matches!(a, XAttr::ChildNum(p) if !tagged.contains(p)));
+                req
+            }
+
+            fn extract(&self, labels: &ItemSet<PageNode>) -> ItemSet<PageNode> {
+                if labels.is_empty() {
+                    return ItemSet::new();
+                }
+                let req = self.required(labels);
+                let mut hits: Vec<u32> = (0..self.features.len() as u32).collect();
+                for feature in req {
+                    let list = self.postings.get(&feature).map_or(&[][..], Vec::as_slice);
+                    hits.retain(|i| list.binary_search(i).is_ok());
+                }
+                hits.iter()
+                    .map(|&i| self.site.text_nodes()[i as usize])
+                    .collect()
+            }
+
+            fn rule(&self, labels: &ItemSet<PageNode>) -> String {
+                if labels.is_empty() {
+                    return "∅".into();
+                }
+                let req = self.required(labels);
+                let max_pos = req.keys().map(XAttr::position).max().unwrap_or(0);
+                let mut rule = String::new();
+                for pos in (1..=max_pos).rev() {
+                    rule += if pos == max_pos { "//" } else { "/" };
+                    rule += req.get(&XAttr::Tag(pos)).map_or("*", String::as_str);
+                    if let Some(k) = req.get(&XAttr::ChildNum(pos)) {
+                        rule += &format!("[{k}]");
+                    }
+                    for (attr, value) in &req {
+                        if let XAttr::Html(p, name) = attr {
+                            if *p == pos {
+                                rule += &format!("[@{name}='{value}']");
+                            }
+                        }
+                    }
+                }
+                rule += if max_pos == 0 { "//text()" } else { "/text()" };
+                if let Some(k) = req.get(&XAttr::TextIndex) {
+                    rule += &format!("[{k}]");
+                }
+                rule
+            }
+        }
+
+        /// Every subset Algorithm 2 (TopDown) and Algorithm 1 (BottomUp)
+        /// call φ on for `labels`.
+        fn evaluated_subsets(
+            ind: &XPathInductor,
+            labels: &ItemSet<PageNode>,
+        ) -> BTreeSet<ItemSet<PageNode>> {
+            let mut subsets = BTreeSet::from([labels.clone()]);
+            for attr in ind.attributes(labels) {
+                let snapshot: Vec<ItemSet<PageNode>> = subsets.iter().cloned().collect();
+                for s in snapshot {
+                    subsets.extend(ind.subdivision(&s, &attr));
+                }
+            }
+            let mut queue = vec![ItemSet::new()];
+            let mut expanded = BTreeSet::new();
+            while let Some(closed) = queue.pop() {
+                if !expanded.insert(closed.clone()) {
+                    continue;
+                }
+                for &l in labels.difference(&closed) {
+                    let mut seed = closed.clone();
+                    seed.insert(l);
+                    let next: ItemSet<PageNode> =
+                        ind.extract(&seed).intersection(labels).copied().collect();
+                    subsets.insert(seed);
+                    if next.len() < labels.len() {
+                        queue.push(next);
+                    }
+                }
+            }
+            subsets
+        }
+
+        /// Asserts equal extractions and rules on every evaluated subset;
+        /// returns how many subsets were checked.
+        fn assert_matches_oracle(site: &Site, labels: &ItemSet<PageNode>) -> usize {
+            let ind = XPathInductor::new(site);
+            let oracle = PostingIndexXPath::new(site);
+            let subsets = evaluated_subsets(&ind, labels);
+            for s in &subsets {
+                let (extraction, rule) = ind.extract_with_rule(s);
+                assert_eq!(rule, oracle.rule(s), "labels {s:?}");
+                assert_eq!(extraction, oracle.extract(s), "rule {rule}");
+            }
+            subsets.len()
+        }
+
+        /// A site rebuilt from a generated site's documents.
+        fn site_of(generated: &aw_sitegen::GeneratedSite) -> Site {
+            Site::new(generated.site.pages().to_vec())
+        }
+
+        #[test]
+        fn oracle_agrees_on_the_dealer_site() {
+            let site = dealer_site();
+            let labels = labels_of(
+                &site,
+                &[
+                    "PORTER FURNITURE",
+                    "WOODLAND FURNITURE",
+                    "201 HWY",
+                    "contact us",
+                ],
+            );
+            assert!(assert_matches_oracle(&site, &labels) > 10);
+        }
+
+        #[test]
+        fn oracle_agrees_on_theorem_generator_sites() {
+            // The noisy-label generator of `tests/theorems.rs`.
+            let mut checked = 0;
+            for seed in 0..100 {
+                let ds = generate_dealers(&DealersConfig {
+                    sites: 1,
+                    pages_per_site: 2,
+                    records_per_page: (2, 4),
+                    seed,
+                    ..DealersConfig::default()
+                });
+                let annot = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
+                let items: Vec<PageNode> = annot.annotate(&ds.sites[0].site).into_iter().collect();
+                let stride = (items.len() as f64 / 7.0).max(1.0);
+                let labels: ItemSet<PageNode> = (0..items.len().min(7))
+                    .map(|i| items[(i as f64 * stride) as usize])
+                    .collect();
+                checked += assert_matches_oracle(&site_of(&ds.sites[0]), &labels);
+            }
+            assert!(checked > 400, "{checked}");
+        }
+
+        #[test]
+        fn oracle_agrees_on_dealers_disc_and_products() {
+            let mut checked = 0;
+            let dealers = generate_dealers(&DealersConfig::small(4, 0x7D01));
+            let annot = DictionaryAnnotator::new(dealers.dictionary.iter(), MatchMode::Contains);
+            for gs in &dealers.sites {
+                checked += assert_matches_oracle(&site_of(gs), &annot.annotate(&gs.site));
+            }
+            let disc = generate_disc(&DiscConfig::small(3, 0x7D02));
+            let annot = DictionaryAnnotator::new(disc.track_dictionary.iter(), MatchMode::Exact);
+            for gs in &disc.sites {
+                checked += assert_matches_oracle(&site_of(gs), &annot.annotate(&gs.site));
+            }
+            let products = generate_products(&ProductsConfig::small(3, 0x7D03));
+            let annot = DictionaryAnnotator::new(products.dictionary.iter(), MatchMode::Contains);
+            for gs in &products.sites {
+                checked += assert_matches_oracle(&site_of(gs), &annot.annotate(&gs.site));
+            }
+            assert!(checked > 500, "{checked}");
+        }
     }
 }

@@ -128,22 +128,10 @@ pub(crate) fn naive_impl(
     labels: &NodeSet,
 ) -> LearnedWrapper {
     let (extraction, rule) = match language {
-        WrapperLanguage::XPath => {
-            let ind = XPathInductor::new(site);
-            (ind.extract(labels), ind.rule(labels))
-        }
-        WrapperLanguage::Lr => {
-            let ind = LrInductor::new(site);
-            (ind.extract(labels), ind.rule(labels))
-        }
-        WrapperLanguage::Hlrt => {
-            let ind = HlrtInductor::new(site);
-            (ind.extract(labels), ind.rule(labels))
-        }
-        WrapperLanguage::Table => {
-            let ind = DomTableInductor::new(site);
-            (ind.extract(labels), ind.rule(labels))
-        }
+        WrapperLanguage::XPath => XPathInductor::new(site).extract_with_rule(labels),
+        WrapperLanguage::Lr => LrInductor::new(site).extract_with_rule(labels),
+        WrapperLanguage::Hlrt => HlrtInductor::new(site).extract_with_rule(labels),
+        WrapperLanguage::Table => DomTableInductor::new(site).extract_with_rule(labels),
     };
     LearnedWrapper {
         extraction,

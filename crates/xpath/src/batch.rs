@@ -672,7 +672,11 @@ impl BatchEvaluator {
                 let selected: Vec<u32> = if node.variants.len() == 1 {
                     match resolve_preds(idx, &variant.predicates) {
                         Some(preds) => {
-                            apply_step_with(doc, idx, &ctx, node.axis, &node.test, &preds)
+                            let mut out = Vec::new();
+                            apply_step_with(
+                                doc, idx, &ctx, node.axis, &node.test, &preds, &mut out,
+                            );
+                            out
                         }
                         // An attribute value absent from this document.
                         None => Vec::new(),

@@ -1,13 +1,17 @@
 //! Compilation of [`XPath`] ASTs into symbol-resolved forms.
 //!
-//! A [`CompiledXPath`] is the AST with every string resolved to an
-//! interned [`Sym`] ([`aw_dom::interner`]): tag tests, attribute names
-//! and attribute values. Compiled steps are plain `Eq + Hash` data, which
-//! is what lets [`crate::batch::BatchEvaluator`] arrange a candidate set
-//! into a shared-prefix trie.
+//! A [`CompiledXPath`] is the AST with its tag tests and attribute names
+//! resolved to interned [`Sym`]s ([`aw_dom::interner`]). Attribute values
+//! stay strings: each engine resolves them per document
+//! (`DocIndex::attr_value_id`), and a rule's values are often per-record
+//! hrefs and ids, which must not grow the leaked global table. Compiled
+//! steps are plain `Eq + Hash` data, which is what lets
+//! [`crate::batch::BatchEvaluator`] arrange a candidate set into a
+//! shared-prefix trie.
 
 use crate::ast::{Axis, NodeTest, Predicate, Step, XPath};
 use aw_dom::{intern, Sym};
+use std::sync::Arc;
 
 /// A node test with the tag resolved to a symbol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -20,17 +24,16 @@ pub enum CompiledTest {
     Text,
 }
 
-/// A predicate with attribute names/values resolved to symbols.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// A predicate with attribute names resolved to symbols.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CompiledPred {
     /// `[@name='value']`.
     Attr {
         /// Interned attribute name.
         name: Sym,
-        /// Interned attribute value (query literals are a bounded
-        /// vocabulary, so the global interner is appropriate; document
-        /// attribute values are interned per-`DocIndex` instead).
-        value: Sym,
+        /// Attribute value, resolved per document like the document's
+        /// own values (never globally interned).
+        value: Arc<str>,
     },
     /// `[k]`, 1-based among same-test siblings. Kept at full `u64` width:
     /// truncating would make absurd positions like `[4294967297]` wrap
@@ -57,8 +60,9 @@ pub struct CompiledXPath {
 }
 
 impl CompiledXPath {
-    /// Compiles an AST. Interning is the only cost; compiling the same
-    /// path twice yields identical (and `Eq`-comparable) values.
+    /// Compiles an AST. Interning tags and attribute names and copying
+    /// attribute values are the only cost; compiling the same path twice
+    /// yields identical (and `Eq`-comparable) values.
     pub fn compile(path: &XPath) -> CompiledXPath {
         CompiledXPath {
             steps: path.steps.iter().map(compile_step).collect(),
@@ -86,7 +90,7 @@ fn compile_step(step: &Step) -> CompiledStep {
             .map(|p| match p {
                 Predicate::Attr { name, value } => CompiledPred::Attr {
                     name: intern(name),
-                    value: intern(value),
+                    value: Arc::from(value.as_str()),
                 },
                 Predicate::Position(k) => CompiledPred::Position(*k as u64),
             })
@@ -111,7 +115,7 @@ mod tests {
             a.steps[0].predicates,
             vec![CompiledPred::Attr {
                 name: intern("class"),
-                value: intern("content")
+                value: Arc::from("content")
             }]
         );
         assert_eq!(a.steps[1].predicates, vec![CompiledPred::Position(1)]);
@@ -128,5 +132,16 @@ mod tests {
             "common prefix must compare equal"
         );
         assert_ne!(a.steps[3], b.steps[3]);
+    }
+
+    #[test]
+    fn attribute_values_are_not_interned() {
+        let value = "compile-test-fresh-value-5c1e";
+        let xp = parse_xpath(&format!("//a[@href='{value}']/text()")).unwrap();
+        let compiled = CompiledXPath::compile(&xp);
+        assert_eq!(aw_dom::interner::lookup(value), None);
+        let doc = aw_dom::parse(&format!("<a href='{value}'>x</a><a href='y'>z</a>"));
+        assert_eq!(crate::evaluate_compiled(&compiled, &doc).len(), 1);
+        assert_eq!(aw_dom::interner::lookup(value), None);
     }
 }

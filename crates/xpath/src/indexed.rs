@@ -16,15 +16,23 @@
 //! unit tests here and the differential property suite in
 //! `tests/xpath_differential.rs`.
 
-use crate::compile::{CompiledPred, CompiledStep, CompiledTest, CompiledXPath};
+use crate::compile::{CompiledPred, CompiledTest, CompiledXPath};
 use aw_dom::{DocIndex, Document, NodeId, Sym};
 
 /// Evaluates a compiled path, returning matching nodes in document order.
 pub fn evaluate_compiled(path: &CompiledXPath, doc: &Document) -> Vec<NodeId> {
     let idx = doc.index();
-    let mut ctx: Vec<u32> = vec![doc.root().0];
+    // The context and the next step's nodes trade buffers after every
+    // step, and each step resolves its predicates into the same buffer.
+    let (mut ctx, mut next, mut preds) = (vec![doc.root().0], Vec::new(), Vec::new());
     for step in &path.steps {
-        ctx = apply_step(doc, idx, &ctx, step);
+        next.clear();
+        // An unresolved predicate names a value absent from this
+        // document: the step selects nothing.
+        if resolve_preds_into(idx, &step.predicates, &mut preds) {
+            apply_step_with(doc, idx, &ctx, step.axis, &step.test, &preds, &mut next);
+        }
+        std::mem::swap(&mut ctx, &mut next);
         if ctx.is_empty() {
             break;
         }
@@ -64,34 +72,37 @@ pub(crate) fn resolve_preds(
     idx: DocIndex<'_>,
     predicates: &[CompiledPred],
 ) -> Option<Vec<ResolvedPred>> {
-    predicates
-        .iter()
-        .map(|pred| match *pred {
-            CompiledPred::Attr { name, value } => idx
-                .attr_value_id(value.as_str())
-                .map(|value_id| ResolvedPred::Attr { name, value_id }),
-            CompiledPred::Position(k) => Some(ResolvedPred::Position(k)),
-        })
-        .collect()
+    let mut resolved = Vec::with_capacity(predicates.len());
+    resolve_preds_into(idx, predicates, &mut resolved).then_some(resolved)
 }
 
-/// Applies one step to a sorted, deduplicated rank-space context set,
-/// returning the same representation.
-pub(crate) fn apply_step(
-    doc: &Document,
+/// [`resolve_preds`] into `out`, replacing its contents; false where
+/// [`resolve_preds`] gives `None`.
+fn resolve_preds_into(
     idx: DocIndex<'_>,
-    context: &[u32],
-    step: &CompiledStep,
-) -> Vec<u32> {
-    let Some(preds) = resolve_preds(idx, &step.predicates) else {
-        return Vec::new(); // an attribute value absent from this document
-    };
-    apply_step_with(doc, idx, context, step.axis, &step.test, &preds)
+    predicates: &[CompiledPred],
+    out: &mut Vec<ResolvedPred>,
+) -> bool {
+    out.clear();
+    for pred in predicates {
+        out.push(match pred {
+            CompiledPred::Attr { name, value } => match idx.attr_value_id(value) {
+                Some(value_id) => ResolvedPred::Attr {
+                    name: *name,
+                    value_id,
+                },
+                None => return false,
+            },
+            CompiledPred::Position(k) => ResolvedPred::Position(*k),
+        });
+    }
+    true
 }
 
 /// Applies an `(axis, test)` pair with pre-resolved predicates checked
 /// **during** collection (no intermediate bare node-set) — the fused
-/// path for single steps and single-variant trie nodes.
+/// path for single steps and single-variant trie nodes. Appends to an
+/// empty `out`.
 pub(crate) fn apply_step_with(
     doc: &Document,
     idx: DocIndex<'_>,
@@ -99,10 +110,11 @@ pub(crate) fn apply_step_with(
     axis: crate::ast::Axis,
     test: &CompiledTest,
     preds: &[ResolvedPred],
-) -> Vec<u32> {
-    step_nodes(doc, idx, context, axis, test, |id| {
+    out: &mut Vec<u32>,
+) {
+    step_nodes(doc, idx, context, axis, test, out, |id| {
         passes_resolved(idx, id, test, preds)
-    })
+    });
 }
 
 /// Applies a step's (axis, test) pair with **no predicates** — the shared
@@ -114,7 +126,9 @@ pub(crate) fn apply_step_bare(
     axis: crate::ast::Axis,
     test: &CompiledTest,
 ) -> Vec<u32> {
-    step_nodes(doc, idx, context, axis, test, |_| true)
+    let mut out = Vec::new();
+    step_nodes(doc, idx, context, axis, test, &mut out, |_| true);
+    out
 }
 
 /// Keeps the ranks whose nodes pass every resolved predicate (the
@@ -132,17 +146,18 @@ pub(crate) fn filter_resolved(
         .collect()
 }
 
-/// The axis/test traversal shared by [`apply_step`] (predicate check
-/// inlined) and [`apply_step_bare`] (`keep` ≡ true, monomorphized away).
+/// The axis/test traversal shared by [`apply_step_with`] (predicate
+/// check inlined) and [`apply_step_bare`] (`keep` ≡ true, monomorphized
+/// away); appends to an empty `out`.
 fn step_nodes(
     doc: &Document,
     idx: DocIndex<'_>,
     context: &[u32],
     axis: crate::ast::Axis,
     test: &CompiledTest,
+    out: &mut Vec<u32>,
     keep: impl Fn(NodeId) -> bool,
-) -> Vec<u32> {
-    let mut out: Vec<u32> = Vec::new();
+) {
     match axis {
         crate::ast::Axis::Child => {
             for &r in context {
@@ -184,7 +199,6 @@ fn step_nodes(
             // so `out` is already sorted and deduplicated.
         }
     }
-    out
 }
 
 pub(crate) fn postings_for<'i>(idx: DocIndex<'i>, test: &CompiledTest) -> &'i [u32] {

@@ -32,10 +32,11 @@
 //!   differential-testing oracle (`tests/xpath_differential.rs` holds the
 //!   others to it on thousands of random (page, path) pairs);
 //! * [`evaluate_compiled`] — evaluates a [`CompiledXPath`] (tags and
-//!   attributes resolved to interned [`aw_dom::Sym`]s) against the
+//!   attribute names resolved to interned [`aw_dom::Sym`]s) against the
 //!   document's [`aw_dom::DocIndex`]: `//` steps become posting-list
 //!   range probes over subtree spans, `[k]` filters read precomputed
-//!   sibling positions, attribute checks compare interned symbols;
+//!   sibling positions, attribute checks compare the name symbol and the
+//!   document's own id for the value;
 //! * [`BatchEvaluator`] — evaluates a whole candidate set (the wrapper
 //!   space `W(L)` of §4) at once: compiled steps are arranged in a
 //!   predicate-aware prefix trie so every shared prefix is evaluated once
