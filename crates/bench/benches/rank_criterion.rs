@@ -1,11 +1,12 @@
 //! Criterion microbenchmarks for the ranking model (§6): the site token
-//! stream, segmentation, feature computation, single-wrapper scoring,
+//! stream, segmentation, feature computation (on one site's gold list
+//! and on a 24-segment list of three record shapes), single-wrapper scoring,
 //! and scoring a whole enumerated wrapper space of one site (XPATH and
 //! LR) over one shared stream.
 
 use aw_annotate::{DictionaryAnnotator, MatchMode};
 use aw_core::{Engine, WrapperLanguage};
-use aw_induct::NodeSet;
+use aw_induct::{NodeSet, Site};
 use aw_rank::{
     list_features, segment_site, AnnotatorModel, ListFeatures, PublicationModel, RankingModel,
     SiteTokens,
@@ -45,6 +46,26 @@ fn bench_rank(c: &mut Criterion) {
     let segments = segment_site(&tokens, gold);
     g.bench_function("list_features", |b| {
         b.iter(|| list_features(black_box(&segments)))
+    });
+    // A 24-segment list of three record shapes: the case Equation 1
+    // meets on a real list, where most sampled pairs repeat a few
+    // distinct ordered pairs of shapes.
+    let rows: String = (0..25)
+        .map(|i| match i % 3 {
+            0 => format!("<tr><td>n{i}</td><td>a</td></tr>"),
+            1 => format!("<tr><td>n{i}</td></tr>"),
+            _ => format!("<tr><td>n{i}</td><td><b>a</b></td><td>z</td></tr>"),
+        })
+        .collect();
+    let shapes = Site::from_html(&[format!("<table>{rows}</table>")]);
+    let shape_tokens = SiteTokens::new(&shapes);
+    let names: NodeSet = (0..25)
+        .flat_map(|i| shapes.find_text(&format!("n{i}")))
+        .collect();
+    let shape_segments = segment_site(&shape_tokens, &names);
+    assert_eq!(shape_segments.len(), 24);
+    g.bench_function("list_features_24_segments_3_shapes", |b| {
+        b.iter(|| list_features(black_box(&shape_segments)))
     });
     g.bench_function("score_wrapper", |b| {
         b.iter(|| model.score(black_box(&gs.site), black_box(&labels), black_box(gold)))

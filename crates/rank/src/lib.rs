@@ -15,10 +15,13 @@
 //! stream ([`SiteTokens`]: tag symbols, one reserved id for text), built
 //! once per ranking call and shared by every candidate; a candidate's
 //! segments are ranges into it, and the alignment kernels of `aw-align`
-//! compare integers in reused rows. Scoring a candidate therefore
-//! allocates a handful of buffers, not a string per token, and its
-//! features are bit-identical to the string-token formulation (a
-//! test-only oracle holds them to it).
+//! compare integers in reused rows. The kernels run once per distinct
+//! ordered pair of segment contents (a real list's records mostly repeat
+//! a few shapes), and the pair values stay on the stack. Scoring a
+//! candidate therefore allocates its segment ranges and two rows, not a
+//! string per token, and its features are bit-identical to the
+//! all-pairs string-token formulation (a test-only oracle holds them to
+//! it).
 //!
 //! Applications reach this crate through `aw_core::Engine`
 //! (`engine.rank`, `engine.learn_sites`), which scores the extractions

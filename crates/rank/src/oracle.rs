@@ -382,4 +382,66 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn kernels_run_once_per_distinct_pair_on_dealers() {
+        // Every candidate's sampled pairs are mostly repeats of a few
+        // distinct ordered pairs of record shapes; the kernels must run
+        // on those alone.
+        const MAX_KERNEL_PAIRS_PER_WRAPPER: f64 = 6.0;
+        let ds = aw_sitegen::generate_dealers(&aw_sitegen::DealersConfig::small(6, 0xD1FF));
+        let annotator = DictionaryAnnotator::new(ds.dictionary.iter(), MatchMode::Contains);
+        let (mut scored, mut sampled, mut evaluated) = (0usize, 0usize, 0usize);
+        for gs in &ds.sites {
+            let site = &gs.site;
+            let labels = annotator.annotate(site);
+            if labels.is_empty() {
+                continue;
+            }
+            let tokens = SiteTokens::new(site);
+            let mut xs = space(&XPathInductor::new(site), &labels);
+            xs.extend(space(&LrInductor::new(site), &labels));
+            for x in &xs {
+                let segments = segment_site(&tokens, x);
+                let m = segments.len().min(MAX_SEGMENTS_FOR_PAIRS);
+                let before = crate::publication::kernel_pairs();
+                let _ = features_on_symbols(&segments, 1);
+                evaluated += crate::publication::kernel_pairs() - before;
+                sampled += m * m.saturating_sub(1) / 2;
+                scored += 1;
+            }
+        }
+        let per_wrapper = evaluated as f64 / scored as f64;
+        println!(
+            "{scored} wrappers: {per_wrapper:.2} kernel pairs per wrapper, {:.2} sampled",
+            sampled as f64 / scored as f64
+        );
+        assert!(scored >= 30, "{scored}");
+        assert!(
+            per_wrapper <= MAX_KERNEL_PAIRS_PER_WRAPPER,
+            "{per_wrapper:.2}"
+        );
+    }
+
+    #[test]
+    fn equal_tokens_with_different_pins_are_different_segments() {
+        // Two records of equal tokens whose type-1 node sits in a
+        // different cell: at pin cost 3 they do not align for free, so
+        // they must not share a class on the symbol path.
+        let site = Site::from_html(&["<ul><li>N1</li><li>a1</li><li>b1</li>\
+             <li>N2</li><li>a2</li><li>b2</li><li>N3</li></ul>"]);
+        let find =
+            |texts: &[&str]| -> NodeSet { texts.iter().flat_map(|t| site.find_text(t)).collect() };
+        let (names, typed) = (find(&["N1", "N2", "N3"]), find(&["a1", "b2"]));
+        let tokens = SiteTokens::new(&site);
+        let segments = typed_on_symbols(&tokens, &[&names, &typed]);
+        assert_eq!(segments.len(), 2);
+        assert_eq!(segments.get(0).tokens, segments.get(1).tokens);
+        let want = list_features_pinned(&segment_site_typed(&site, &[names, typed]), 3);
+        assert!(want.is_some_and(|f| f.alignment > 0.0), "{want:?}");
+        assert_eq!(
+            features_bits(features_on_symbols(&segments, 3)),
+            features_bits(want)
+        );
+    }
 }

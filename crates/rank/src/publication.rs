@@ -22,6 +22,9 @@ use aw_align::{
 /// are down-sampled evenly (deterministically).
 pub const MAX_SEGMENTS_FOR_PAIRS: usize = 24;
 
+/// Sampled pairs `i < j` of at most [`MAX_SEGMENTS_FOR_PAIRS`] segments.
+const MAX_PAIRS: usize = MAX_SEGMENTS_FOR_PAIRS * (MAX_SEGMENTS_FOR_PAIRS - 1) / 2;
+
 /// The two feature values of one candidate list on one site.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ListFeatures {
@@ -44,7 +47,18 @@ pub fn list_features(segments: &Segments<'_>) -> Option<ListFeatures> {
 /// `pin_indel_cost` is the penalty for dropping a typed node (use 1 for
 /// single-type, where pins are all equal anyway).
 ///
-/// The pairwise kernels share one set of dynamic-programming rows.
+/// The kernels run once per distinct ordered pair of segment contents,
+/// not once per sampled pair: the sampled segments are first put into
+/// classes of equal tokens (and equal pins, when a pin table is in
+/// use), and every pair `i < j` then reads the memo of its
+/// `(class(i), class(j))`. The key is ordered because the longest
+/// common substring is the earliest maximal match in the first
+/// segment, whose text tokens are the ones counted. The schema-size
+/// median is read from the memo's `(value, multiplicity)` counts, the
+/// same middle values a sort of every pair's value picks, so the
+/// features equal the all-pairs computation bit for bit. Besides the
+/// pin table a single-type list builds when `pin_indel_cost > 1`, only
+/// the kernels' shared dynamic-programming rows are allocated.
 pub fn list_features_pinned(
     segments: &Segments<'_>,
     pin_indel_cost: usize,
@@ -58,38 +72,115 @@ pub fn list_features_pinned(
     // 1; the pinned kernel runs when that cost is higher or a segment
     // holds another type.
     let pins = (pin_indel_cost > 1 || segments.is_typed()).then(|| segments.pin_table());
-    let single_type = |pins: &[u32]| pins.iter().all(|&p| p == NO_PIN || p == 0);
+    let pins_of = |s: usize| pins.as_ref().map(|pins| &pins[segments.range(s)]);
     let m = n.min(MAX_SEGMENTS_FOR_PAIRS);
+
+    // Each sampled segment's class, and the first segment of each class.
+    let mut class = [0usize; MAX_SEGMENTS_FOR_PAIRS];
+    let mut reps = [0usize; MAX_SEGMENTS_FOR_PAIRS];
+    let mut classes = 0;
+    for (i, class) in class[..m].iter_mut().enumerate() {
+        let s = sampled(n, i);
+        let same = |&r: &usize| {
+            segments.get(r).tokens == segments.get(s).tokens && pins_of(r) == pins_of(s)
+        };
+        *class = match reps[..classes].iter().position(same) {
+            Some(c) => c,
+            None => {
+                reps[classes] = s;
+                classes += 1;
+                classes - 1
+            }
+        };
+    }
+
+    let single_type = |pins: &[u32]| pins.iter().all(|&p| p == NO_PIN || p == 0);
     let mut rows = Rows::default();
-    let mut schema_sizes: Vec<f64> = Vec::with_capacity(m * (m - 1) / 2);
-    let mut max_align = 0.0f64;
+    // The text count of the longest common substring, and the edit
+    // distance, of segments `a` and `b`.
+    let mut kernels = |a: usize, b: usize| {
+        kernel_pair();
+        let (sa, sb) = (segments.get(a), segments.get(b));
+        let range = longest_common_substring(sa.tokens, sb.tokens, &mut rows);
+        let texts = sa.tokens[range]
+            .iter()
+            .filter(|&&t| t == TEXT_TOKEN)
+            .count();
+        let d = match (pins_of(a), pins_of(b)) {
+            (Some(pa), Some(pb)) if pin_indel_cost > 1 || !single_type(pa) || !single_type(pb) => {
+                edit_distance_pinned(sa.tokens, sb.tokens, pa, pb, pin_indel_cost, &mut rows)
+            }
+            _ => edit_distance(sa.tokens, sb.tokens, &mut rows),
+        };
+        (texts as u32, d)
+    };
+
+    // `slot[c][d]` is 1 + the memo index of class pair `(c, d)`, or 0;
+    // a memo entry is `(LCS text count, pairs i < j of its classes)`.
+    let mut slot = [[0u16; MAX_SEGMENTS_FOR_PAIRS]; MAX_SEGMENTS_FOR_PAIRS];
+    let mut memo = [(0u32, 0u32); MAX_PAIRS];
+    let mut entries = 0;
+    let mut max_align = 0;
     for i in 0..m {
-        let ia = sampled(n, i);
-        let a = segments.get(ia);
         for j in (i + 1)..m {
-            let ib = sampled(n, j);
-            let b = segments.get(ib);
-            let range = longest_common_substring(a.tokens, b.tokens, &mut rows);
-            let texts = a.tokens[range].iter().filter(|&&t| t == TEXT_TOKEN).count();
-            schema_sizes.push(texts as f64);
-            let d = match &pins {
-                Some(pins) => {
-                    let (pa, pb) = (&pins[segments.range(ia)], &pins[segments.range(ib)]);
-                    if pin_indel_cost <= 1 && single_type(pa) && single_type(pb) {
-                        edit_distance(a.tokens, b.tokens, &mut rows)
-                    } else {
-                        edit_distance_pinned(a.tokens, b.tokens, pa, pb, pin_indel_cost, &mut rows)
-                    }
-                }
-                None => edit_distance(a.tokens, b.tokens, &mut rows),
-            };
-            max_align = max_align.max(d as f64);
+            let slot = &mut slot[class[i]][class[j]];
+            if *slot == 0 {
+                let (texts, d) = kernels(reps[class[i]], reps[class[j]]);
+                max_align = max_align.max(d);
+                memo[entries] = (texts, 0);
+                entries += 1;
+                *slot = entries as u16;
+            }
+            memo[usize::from(*slot) - 1].1 += 1;
         }
     }
     Some(ListFeatures {
-        schema_size: aw_align::stats::median(&schema_sizes),
-        alignment: max_align,
+        schema_size: median_of_counts(&mut memo[..entries], m * (m - 1) / 2),
+        alignment: max_align as f64,
     })
+}
+
+/// The median of `total` values given as `(value, multiplicity)`
+/// entries: the middle value, or the mean of the two middle values when
+/// `total` is even, exactly as [`aw_align::stats::median`] computes it
+/// over the expanded values.
+fn median_of_counts(entries: &mut [(u32, u32)], total: usize) -> f64 {
+    entries.sort_unstable_by_key(|&(value, _)| value);
+    let at = |rank: usize| {
+        let mut seen = 0;
+        for &(value, count) in entries.iter() {
+            seen += count as usize;
+            if rank < seen {
+                return f64::from(value);
+            }
+        }
+        unreachable!("rank {rank} past {total} values")
+    };
+    if total % 2 == 1 {
+        at(total / 2)
+    } else {
+        (at(total / 2 - 1) + at(total / 2)) / 2.0
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Segment pairs the kernels ran on, on this thread.
+    static KERNEL_PAIRS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One kernel evaluation of a segment pair; counted in tests, free
+/// otherwise.
+#[inline(always)]
+fn kernel_pair() {
+    #[cfg(test)]
+    KERNEL_PAIRS.with(|c| c.set(c.get() + 1));
+}
+
+/// Kernel pair evaluations made on this thread so far.
+#[cfg(test)]
+pub(crate) fn kernel_pairs() -> usize {
+    KERNEL_PAIRS.with(std::cell::Cell::get)
 }
 
 /// The index of the `i`-th sampled segment of `n`: every segment when
@@ -276,7 +367,10 @@ mod tests {
         let tokens = SiteTokens::new(&site);
         let segs = segment_site(&tokens, &all);
         assert_eq!(segs.len(), 499);
+        let before = kernel_pairs();
         let f = list_features(&segs).unwrap();
+        // 276 sampled pairs, one class: the kernels run once.
+        assert_eq!(kernel_pairs() - before, 1);
         assert_eq!(f.alignment, 0.0);
         assert_eq!(f.schema_size, 1.0);
         assert_eq!(sampled(499, MAX_SEGMENTS_FOR_PAIRS - 1), 478);

@@ -59,8 +59,10 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Ceiling on allocations per scored wrapper, for every language.
-const MAX_ALLOCS_PER_WRAPPER: f64 = 4.0;
+/// Ceiling on allocations per scored wrapper, for every language
+/// (measured 2.4 XPATH and 2.0 LR: a candidate's segment ranges and the
+/// kernels' two rows; `P(X)` keeps its pair values on the stack).
+const MAX_ALLOCS_PER_WRAPPER: f64 = 2.75;
 
 #[test]
 fn rank_stays_within_its_allocation_budget() {
