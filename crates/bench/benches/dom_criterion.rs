@@ -4,10 +4,13 @@
 //! `parse_indexed` times the streaming parse→index of the serving
 //! request path without freeing the documents (the bencher drops them
 //! after the clock stops); `parse_indexed+drop` adds the free, which the
-//! request path pays too; `parse+index` is the classic two-pass oracle.
+//! request path pays too; `parse+index` is classic `parse` followed by
+//! the index built over the finished rows (and the fingerprint), and
+//! `index_rows` times that index build alone, on fresh clones of an
+//! already parsed document.
 
 use aw_sitegen::{generate_dealers, DealersConfig};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench_dom(c: &mut Criterion) {
@@ -34,6 +37,16 @@ fn bench_dom(c: &mut Criterion) {
         })
     });
     let doc = aw_dom::parse(&html);
+    g.bench_function("index_rows", |b| {
+        b.iter_batched(
+            || doc.clone(),
+            |d| {
+                d.index();
+                d
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.bench_function("serialize_with_spans", |b| {
         b.iter(|| aw_dom::serialize_with_spans(black_box(&doc)))
     });

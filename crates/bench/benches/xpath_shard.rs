@@ -439,14 +439,15 @@ fn main() {
     // ── Streaming parse→index ────────────────────────────────────────
     // Every request pays parse + DocIndex build + template fingerprint
     // before any rule can run. Timed on the serialized repeated-template
-    // pages: the classic two-pass path (parse the tree, then build the
-    // index over the finished arena — the `with_stream_parse(false)`
-    // path) vs the one-pass `StreamIndexer` (`aw_dom::parse_indexed`,
-    // the request-path default). Both legs end with the fingerprint
-    // computed, because the serving path needs it for template-cache
-    // lookup. The ratio is gated as `stream_parse_speedup`. Byte
-    // identity of the two paths is asserted before timing (and in far
-    // more depth by `tests/dom_robustness.rs`).
+    // pages: the classic leg builds the tree with `aw_dom::parse`, then
+    // runs the index builder as a second pass over the finished node
+    // rows (the `with_stream_parse(false)` path); the stream leg
+    // (`aw_dom::parse_indexed`, the request-path default) feeds the same
+    // builder each node as the parser appends it, in one pass. Both legs
+    // end with the fingerprint computed, because the serving path needs
+    // it for template-cache lookup. The ratio is gated as
+    // `stream_parse_speedup`. Byte identity of the two paths is asserted
+    // before timing (and in far more depth by `tests/dom_robustness.rs`).
     let html_pages: Vec<String> = tpages.iter().map(|(_, p)| aw_dom::serialize(p)).collect();
     for html in &html_pages {
         let streamed = aw_dom::parse_indexed(html);
@@ -1126,10 +1127,10 @@ fn main() {
                     "template_cache_speedup_varlen",
                     num(t_varlen_nocache / t_varlen_cached),
                 ),
-                // Classic two-pass parse-then-index over the one-pass
-                // StreamIndexer on the repeated-template pages — gated:
-                // fusing index construction into the parse must keep
-                // paying on the request path.
+                // Classic parse then index over the rows, over the
+                // one-pass `parse_indexed`, on the repeated-template
+                // pages — gated: fusing index construction into the
+                // parse must keep paying on the request path.
                 ("stream_parse_speedup", num(stream_parse_speedup)),
                 // Not a ratio: absolute requests/sec of the keep-alive
                 // HTTP stream through the reactor, over real sockets

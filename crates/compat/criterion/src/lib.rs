@@ -22,6 +22,13 @@ pub enum Throughput {
     Elements(u64),
 }
 
+/// How many setup outputs [`Bencher::iter_batched`] holds at once.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs small enough to set up a few hundred at a time.
+    SmallInput,
+}
+
 /// Top-level benchmark driver.
 #[derive(Clone, Debug, Default)]
 pub struct Criterion {
@@ -102,6 +109,36 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
         drop(outputs);
+    }
+}
+
+impl Bencher {
+    /// Times `iters` executions of `routine`, each on a fresh input from
+    /// `setup`. Setting up the inputs and dropping the outputs happen
+    /// outside the clock, a batch at a time.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let batch = match size {
+            BatchSize::SmallInput => 256,
+        };
+        let mut elapsed = Duration::ZERO;
+        let mut left = self.iters;
+        while left > 0 {
+            let n = left.min(batch);
+            left -= n;
+            let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
+            let mut outputs = Vec::with_capacity(inputs.len());
+            let start = Instant::now();
+            for input in inputs {
+                outputs.push(routine(input));
+            }
+            elapsed += start.elapsed();
+            drop(outputs);
+        }
+        self.elapsed = elapsed;
     }
 }
 

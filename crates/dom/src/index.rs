@@ -17,8 +17,11 @@
 //!   its same-tag / element / text siblings is precomputed, so `td[2]`
 //!   costs one array load instead of an O(siblings) rescan per candidate.
 
-use crate::arena::{Document, NodeId, NodeKind};
+use crate::arena::{
+    Document, NameTable, NodeId, NodeKind, NodeRec, NAME_COMMENT, NAME_ROOT, NAME_TEXT, NO_PARENT,
+};
 use crate::interner::Sym;
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -248,14 +251,17 @@ impl Hasher for PolyHasher {
     }
 }
 
-/// The evaluation tables of one [`Document`], built by
-/// [`IndexTables::build`] or by the streaming builder (`crate::stream`)
-/// and read through a [`DocIndex`].
+/// The evaluation tables of one [`Document`], read through a
+/// [`DocIndex`]. Only [`IndexBuilder`] computes them, driven two ways:
+/// the streaming parser (`crate::stream`) pushes each node as it appends
+/// it, so the request path builds document and tables in one pass, and
+/// [`Document::index`] runs it lazily over the node rows of a document
+/// from the classic parser.
 ///
 /// Only what the document does not already hold lives here: tags,
 /// attributes and attribute-value ids are read from the document's own
 /// tables.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(crate) struct IndexTables {
     /// Rank → exclusive end of the node's subtree, in rank space.
     pub(crate) subtree_end: Vec<u32>,
@@ -283,91 +289,208 @@ pub(crate) struct IndexTables {
 }
 
 impl IndexTables {
-    /// Builds the tables for `doc` by walking the finished tree: one
-    /// sibling pass, one explicit-stack pre-order pass and one pass over
-    /// the ranks. Independent of the streaming builder, whose
-    /// differential oracle it is; the walk checks (in debug builds) that
-    /// it visits ids in order, i.e. that the document is pre-order.
-    pub(crate) fn build(doc: &Document) -> IndexTables {
-        let n = doc.len();
-        let mut t = IndexTables {
-            subtree_end: vec![0; n],
-            pos: vec![(0, 0); n],
-            ..IndexTables::default()
+    /// The tables of a document built without them (classic `parse`):
+    /// [`IndexBuilder`] over its node rows, from per-thread scratch.
+    fn from_rows(doc: &Document) -> IndexTables {
+        thread_local! {
+            static BUILDER: RefCell<IndexBuilder> = RefCell::new(IndexBuilder::default());
+        }
+        BUILDER.with(|builder| {
+            let mut b = builder.borrow_mut();
+            b.clear();
+            for (r, rec) in doc.nodes.iter().enumerate() {
+                b.push(r as u32, rec.parent, rec.name);
+            }
+            let tables = b.finish(&doc.nodes, &doc.names);
+            if doc.len() > KEEP_NODES {
+                *b = IndexBuilder::default();
+            }
+            tables
+        })
+    }
+}
+
+/// Builder scratch grown past this many nodes is released after the
+/// page that grew it, so one huge page does not pin its builder memory
+/// in the thread for good.
+pub(crate) const KEEP_NODES: usize = 1 << 16;
+
+/// One node on [`IndexBuilder`]'s ancestor stack, with the running
+/// sibling counters of the children pushed under it so far.
+struct OpenNode {
+    rank: u32,
+    /// Element children so far.
+    elems: u32,
+    /// Text children so far.
+    texts: u32,
+    /// Where this node's per-tag child counters start in
+    /// [`IndexBuilder::by_tag`]; they run to its end while the node is
+    /// the innermost open one.
+    by_tag_start: u32,
+}
+
+/// The one builder of [`IndexTables`]: fed every node once, in
+/// pre-order, by [`IndexBuilder::push`], then closed by
+/// [`IndexBuilder::finish`].
+///
+/// A node's id is its pre-order rank, so posting lists append in rank
+/// order, spans are known when a node's subtree is left, and sibling
+/// positions come from counters on the ancestor stack. Scratch: every
+/// table is cleared, not freed, between documents, and `finish` copies
+/// the tables out at their exact sizes.
+#[derive(Default)]
+pub(crate) struct IndexBuilder {
+    subtree_end: Vec<u32>,
+    pos: Vec<(u32, u32)>,
+    elem_postings: Vec<u32>,
+    text_postings: Vec<u32>,
+    /// The open ancestors of the next node: the root, then elements.
+    /// Text and comment nodes never have children, so never open.
+    stack: Vec<OpenNode>,
+    /// Per-tag element child counters `(local name, count)` of the open
+    /// nodes, one segment per node (see [`OpenNode::by_tag_start`]).
+    by_tag: Vec<(u32, u32)>,
+    /// Per local name: element count, then CSR cursor (in `finish`).
+    tag_counts: Vec<u32>,
+}
+
+impl IndexBuilder {
+    /// Starts a new document.
+    pub(crate) fn clear(&mut self) {
+        self.subtree_end.clear();
+        self.pos.clear();
+        self.elem_postings.clear();
+        self.text_postings.clear();
+        self.stack.clear();
+        self.by_tag.clear();
+    }
+
+    /// Adds node `rank`, the next in pre-order, whose row holds `parent`
+    /// ([`NO_PARENT`] for the root) and `name` (a local tag index or a
+    /// `NAME_*` kind marker). Every open node that is not `parent` is
+    /// left here: its subtree ends at `rank`.
+    ///
+    /// # Panics
+    /// Panics if `parent` is not an open ancestor, i.e. the nodes do
+    /// not arrive in pre-order.
+    #[inline]
+    pub(crate) fn push(&mut self, rank: u32, parent: u32, name: u32) {
+        if self.stack.last().is_some_and(|top| top.rank != parent) {
+            self.leave_to(parent, rank);
+        }
+        let pos = match self.stack.last_mut() {
+            None => {
+                assert_eq!(parent, NO_PARENT, "node {rank} arrived out of pre-order");
+                (0, 0)
+            }
+            Some(open) => match name {
+                NAME_TEXT => {
+                    open.texts += 1;
+                    (0, open.texts)
+                }
+                NAME_COMMENT => (0, 0),
+                _ => {
+                    open.elems += 1;
+                    let counters = &mut self.by_tag[open.by_tag_start as usize..];
+                    let same_tag = match counters.iter_mut().find(|(l, _)| *l == name) {
+                        Some((_, k)) => {
+                            *k += 1;
+                            *k
+                        }
+                        None => {
+                            self.by_tag.push((name, 1));
+                            1
+                        }
+                    };
+                    (same_tag, open.elems)
+                }
+            },
         };
-        if n == 0 {
-            return t;
-        }
-
-        // Sibling positions, per parent.
-        let mut by_tag: HashMap<Sym, u32> = HashMap::new();
-        for id in doc.ids() {
-            let children = doc.children(id);
-            if children.is_empty() {
-                continue;
-            }
-            by_tag.clear();
-            let (mut elems, mut texts) = (0u32, 0u32);
-            for &c in children {
-                match doc.kind(c) {
-                    NodeKind::Element => {
-                        elems += 1;
-                        let sym = doc.tag_sym(c).expect("element has a tag");
-                        let k = by_tag.entry(sym).or_insert(0);
-                        *k += 1;
-                        t.pos[c.index()] = (*k, elems);
-                    }
-                    NodeKind::Text => {
-                        texts += 1;
-                        t.pos[c.index()] = (0, texts);
-                    }
-                    _ => {}
+        self.subtree_end.push(rank + 1);
+        self.pos.push(pos);
+        match name {
+            NAME_TEXT => self.text_postings.push(rank),
+            NAME_COMMENT => {}
+            _ => {
+                if name != NAME_ROOT {
+                    self.elem_postings.push(rank);
                 }
+                self.stack.push(OpenNode {
+                    rank,
+                    elems: 0,
+                    texts: 0,
+                    by_tag_start: self.by_tag.len() as u32,
+                });
             }
+        }
+    }
+
+    /// Leaves the open nodes above `parent`: their subtrees end at `rank`.
+    /// Out of line, because most nodes arrive under the innermost open
+    /// one.
+    #[inline(never)]
+    fn leave_to(&mut self, parent: u32, rank: u32) {
+        while let Some(top) = self.stack.last() {
+            if top.rank == parent {
+                break;
+            }
+            self.subtree_end[top.rank as usize] = rank;
+            self.by_tag.truncate(top.by_tag_start as usize);
+            self.stack.pop();
+        }
+    }
+
+    /// Closes the nodes still open at `nodes.len()`, groups the tag
+    /// postings and copies the tables out. `nodes` and `names` are the
+    /// rows and name table the pushed nodes came from.
+    pub(crate) fn finish(&mut self, nodes: &[NodeRec], names: &NameTable) -> IndexTables {
+        let n = nodes.len() as u32;
+        debug_assert_eq!(self.subtree_end.len(), nodes.len(), "every node pushed");
+        for open in self.stack.drain(..) {
+            self.subtree_end[open.rank as usize] = n;
         }
 
-        // Subtree spans, with an explicit stack (crawled markup can nest
-        // arbitrarily deep). `visited` counts the nodes walked so far, so
-        // a node's span ends at the count when it is left.
-        let mut visited = 1u32;
-        let mut stack: Vec<(NodeId, usize)> = vec![(NodeId::ROOT, 0)];
-        while let Some(&mut (id, ref mut child)) = stack.last_mut() {
-            let children = doc.children(id);
-            if *child < children.len() {
-                let c = children[*child];
-                *child += 1;
-                debug_assert_eq!(c.0, visited, "document is not in pre-order");
-                visited += 1;
-                stack.push((c, 0));
-            } else {
-                t.subtree_end[id.index()] = visited;
-                stack.pop();
-            }
+        // Tag postings as one CSR array: count elements per local name,
+        // order the tags by symbol, then place each rank at its tag's
+        // cursor (ranks ascend, so every group does too).
+        let counts = &mut self.tag_counts;
+        counts.clear();
+        counts.resize(names.len(), 0);
+        for &r in &self.elem_postings {
+            counts[nodes[r as usize].name as usize] += 1;
+        }
+        // `(tag, local name)`, sorted, then the local name replaced by
+        // the group's end.
+        let mut tags = Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
+        tags.extend(
+            (0..counts.len() as u32)
+                .filter(|&l| counts[l as usize] > 0)
+                .map(|l| (names.get(l).0, l)),
+        );
+        tags.sort_unstable();
+        let mut end = 0;
+        for (_, local_then_end) in &mut tags {
+            let count = std::mem::replace(&mut counts[*local_then_end as usize], end);
+            end += count;
+            *local_then_end = end;
+        }
+        let mut tag_ranks = vec![0; self.elem_postings.len()];
+        for &r in &self.elem_postings {
+            let cursor = &mut counts[nodes[r as usize].name as usize];
+            tag_ranks[*cursor as usize] = r;
+            *cursor += 1;
         }
 
-        // Posting lists in rank order; tag postings grouped by a stable
-        // sort, so each group stays rank-ascending.
-        let mut tagged: Vec<(Sym, u32)> = Vec::new();
-        for id in doc.ids() {
-            let r = id.0;
-            match doc.kind(id) {
-                NodeKind::Element => {
-                    t.elem_postings.push(r);
-                    tagged.push((doc.tag_sym(id).expect("element has a tag"), r));
-                }
-                NodeKind::Text => t.text_postings.push(r),
-                _ => {}
-            }
+        IndexTables {
+            subtree_end: self.subtree_end.clone(),
+            pos: self.pos.clone(),
+            tags,
+            tag_ranks,
+            elem_postings: self.elem_postings.clone(),
+            text_postings: self.text_postings.clone(),
+            fingerprint: OnceLock::new(),
+            record_layout: OnceLock::new(),
         }
-        tagged.sort_by_key(|&(sym, _)| sym);
-        for (i, &(sym, r)) in tagged.iter().enumerate() {
-            t.tag_ranks.push(r);
-            match t.tags.last_mut() {
-                Some((last, end)) if *last == sym => *end = i as u32 + 1,
-                _ => t.tags.push((sym, i as u32 + 1)),
-            }
-        }
-        t
     }
 }
 
@@ -752,7 +875,8 @@ impl Document {
     pub fn index(&self) -> DocIndex<'_> {
         DocIndex::new(
             self,
-            self.index_cache().get_or_init(|| IndexTables::build(self)),
+            self.index_cache()
+                .get_or_init(|| IndexTables::from_rows(self)),
         )
     }
 }
@@ -762,6 +886,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::interner::intern;
     use crate::parser::parse;
+    use crate::tree_oracle::assert_index_matches_tree;
     use std::hash::BuildHasherDefault;
 
     #[test]
@@ -1220,8 +1345,10 @@ pub(crate) mod tests {
     }
 
     /// Asserts two documents of one tree hold equal index tables, node
-    /// for node.
+    /// for node, and that both agree with their trees.
     fn assert_same_tables(a: &Document, b: &Document) {
+        assert_index_matches_tree(a);
+        assert_index_matches_tree(b);
         let (ai, bi) = (a.index(), b.index());
         assert_eq!(a.len(), b.len());
         assert_eq!(ai.element_postings(), bi.element_postings());

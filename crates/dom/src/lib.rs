@@ -32,13 +32,15 @@ pub mod serialize;
 pub mod stream;
 pub mod tokenizer;
 pub mod traverse;
+#[cfg(test)]
+mod tree_oracle;
 
 pub use arena::{Document, NodeId, NodeKind};
 pub use index::{DocIndex, RecordLayout, RecordSpan};
 pub use interner::{intern, Sym};
 pub use parser::parse;
 pub use serialize::{serialize, serialize_with_spans, SerializedPage, TextSpan};
-pub use stream::{parse_indexed, IndexedDocument, StreamIndexer};
+pub use stream::{parse_indexed, IndexedDocument};
 
 /// Identifies a node on a specific page of a multi-page website.
 ///

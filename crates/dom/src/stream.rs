@@ -3,33 +3,27 @@
 //! [`parse_indexed`] drives the pull tokenizer ([`crate::tokenizer::Tokenizer`])
 //! directly and emits a fully populated [`Document`] *and* its index in
 //! a single traversal, where the classic path ([`crate::parser::parse`]
-//! then [`Document::index`]) walks the finished tree a second time. The
-//! request path of the serving tier parses every page exactly once and
-//! immediately evaluates compiled xpaths against the index, so fusing
-//! the two passes roughly halves the pre-evaluation cost per page.
+//! then [`Document::index`]) builds the index in a second pass over the
+//! finished node rows. The request path of the serving tier parses every
+//! page exactly once and immediately evaluates compiled xpaths against
+//! the index, so it builds the index in the parsing pass rather than in
+//! a second one over the rows.
 //!
-//! The fusion works because every document allocates its nodes in
-//! document order, so **arena index = pre-order rank** and every index
-//! table can be filled at the tree-construction event that determines it:
+//! Both paths fill the index through the one `IndexBuilder`
+//! (`crate::index`): this parser pushes each node to it as it appends
+//! the node's row. Every document allocates its nodes in document order,
+//! so **arena index = pre-order rank**, and the builder fills each table
+//! from the pushes alone (see its docs).
 //!
-//! * ranks need no table at all: a node's rank is its id;
-//! * posting lists (element / text) are appended at open events —
-//!   creation order is rank order, so they are sorted by construction;
-//!   the per-tag postings are one CSR array, grouped by a counting pass
-//!   over the element postings at EOF;
-//! * subtree spans default to `rank + 1` at open events and are patched
-//!   at close events (end tags, implied closes, EOF);
-//! * sibling-position caches come from counters carried on the
-//!   open-element stack.
-//!
-//! Tokens borrow the input, so the builder copies each tag name into
+//! Tokens borrow the input, so the parser copies each tag name into
 //! nothing (it resolves to a local name index), each text run once (into
 //! the document's text buffer, whitespace-collapsed on the way) and each
 //! distinct attribute value once (into the same buffer, through the
-//! document's keyed value table). The builder's tables are per-thread
-//! scratch that survives from page to page; a finished page copies them
-//! out at their exact sizes, so a page costs about a dozen allocations
-//! whatever its token count, and its document retains no slack capacity.
+//! document's keyed value table). The parser's and the builder's tables
+//! are per-thread scratch that survives from page to page; a finished
+//! page copies them out at their exact sizes, so a page costs about a
+//! dozen allocations whatever its token count, and its document retains
+//! no slack capacity.
 //!
 //! The template fingerprint is computed eagerly over the finished tables
 //! before the index is published (the serving path always
@@ -42,21 +36,23 @@
 //! `implied_closes` / `is_scope_boundary` / `is_void` tables (via the
 //! per-thread `TagInfo` cache), but the construction loop is deliberately
 //! *duplicated*, not shared: `parse` (through the crate-private
-//! [`Document`] append methods) plus the classic index build stay an
-//! independent
-//! differential oracle that fills the same representation, and the
-//! robustness/differential suites assert byte-identical output between
-//! the two paths on arbitrary markup — the same relationship the
-//! reference xpath engine has to the compiled engines.
+//! [`Document`] append methods) stays an independent differential oracle
+//! for the tree, and the robustness/differential suites assert
+//! byte-identical output between the two paths on arbitrary markup — the
+//! same relationship the reference xpath engine has to the compiled
+//! engines. The index tables come from one builder on both paths, so
+//! their oracle is a tree-derived check instead (`crate::tree_oracle`,
+//! compiled only into tests), which recomputes every table from the
+//! document's child lists and node kinds and is asserted on both paths'
+//! output in the same suites.
 
 use std::cell::RefCell;
 use std::ops::Deref;
-use std::sync::OnceLock;
 
 use crate::arena::{
     offset, Document, NameTable, NodeRec, ValueTable, NAME_COMMENT, NAME_ROOT, NAME_TEXT, NO_PARENT,
 };
-use crate::index::{DocIndex, IndexTables};
+use crate::index::{DocIndex, IndexBuilder, KEEP_NODES};
 use crate::interner::Sym;
 use crate::parser::{collapse_whitespace_into, implied_closes, is_scope_boundary, is_void};
 use crate::tokenizer::{Attr, Token, Tokenizer};
@@ -109,16 +105,12 @@ pub fn parse_indexed(input: &str) -> IndexedDocument {
     BUILDER.with(|builder| builder.borrow_mut().run(input))
 }
 
-/// Scratch tables above these capacities are released after the page
-/// that grew them, so one huge page does not pin its builder memory in
-/// the thread for good.
-const KEEP_NODES: usize = 1 << 16;
+/// Scratch text above this capacity is released after the page that
+/// grew it, like the node tables above [`KEEP_NODES`].
 const KEEP_TEXT_BYTES: usize = 1 << 22;
 
-/// One open element: its rank plus the running sibling counters for the
-/// children appended under it. Index 0 of the stack is a sentinel for
-/// the document root (empty tag — matched by no end tag, closed only at
-/// EOF).
+/// One open element. Index 0 of the stack is a sentinel for the document
+/// root (empty tag — matched by no end tag, closed only at EOF).
 struct OpenEntry {
     /// Arena index = pre-order rank of the open node.
     rank: u32,
@@ -128,14 +120,6 @@ struct OpenEntry {
     /// Precomputed [`is_scope_boundary`] of `tag` — the implied-close
     /// scan tests it on every entry it walks past.
     boundary: bool,
-    /// Element children appended so far.
-    elems: u32,
-    /// Text children appended so far.
-    texts: u32,
-    /// Where this element's per-tag child counters start in
-    /// [`StreamIndexer::by_tag`]; they run to its end while the element
-    /// is the innermost open one.
-    by_tag_start: u32,
 }
 
 /// Everything the builder needs to know about one tag or attribute
@@ -249,27 +233,17 @@ fn is_collapsed(t: &str) -> bool {
 /// Lives in thread-local scratch ([`parse_indexed`]): every table is
 /// cleared, not freed, between pages.
 #[derive(Default)]
-pub struct StreamIndexer {
+pub(crate) struct StreamIndexer {
     // The page's document tables.
     nodes: Vec<NodeRec>,
     names: NameTable,
     attrs: Vec<(Sym, u32)>,
     values: ValueTable,
     text: String,
-    // Its index tables (ranks are implicit: arena order is pre-order).
-    subtree_end: Vec<u32>,
-    pos: Vec<(u32, u32)>,
-    elem_postings: Vec<u32>,
-    text_postings: Vec<u32>,
-    // Construction state.
+    /// Its index tables, fed each node as it is appended.
+    index: IndexBuilder,
+    /// The open elements, for the tree-repair rules.
     stack: Vec<OpenEntry>,
-    /// Per-tag element child counters `(local name, count)` of the open
-    /// elements, one segment per element (see [`OpenEntry::by_tag_start`]).
-    by_tag: Vec<(u32, u32)>,
-    /// Per local name: element count, then CSR cursor (at EOF).
-    tag_counts: Vec<u32>,
-    /// `(tag, local name)` of the page's element tags, sorted (at EOF).
-    tag_order: Vec<(Sym, u32)>,
     tags: NameCache,
     attr_names: NameCache,
     /// Pages built so far; stamps the caches' local indices.
@@ -306,11 +280,7 @@ impl StreamIndexer {
         self.attrs.clear();
         self.values.clear();
         self.text.clear();
-        self.subtree_end.clear();
-        self.pos.clear();
-        self.elem_postings.clear();
-        self.text_postings.clear();
-        self.by_tag.clear();
+        self.index.clear();
         self.stack.clear();
         self.nodes.push(NodeRec {
             parent: NO_PARENT,
@@ -318,22 +288,17 @@ impl StreamIndexer {
             lo: 0,
             hi: 0,
         });
-        self.subtree_end.push(1);
-        self.pos.push((0, 0));
+        self.index.push(0, NO_PARENT, NAME_ROOT);
         self.stack.push(OpenEntry {
             rank: 0,
             tag: "",
             boundary: false,
-            elems: 0,
-            texts: 0,
-            by_tag_start: 0,
         });
     }
 
     /// Appends one node under the innermost open element, with its
-    /// payload range and `(same-tag, own-kind)` sibling positions, as a
-    /// leaf (its span is patched if it closes over children).
-    fn append(&mut self, name: u32, lo: usize, hi: usize, pos: (u32, u32)) -> u32 {
+    /// payload range, and feeds it to the index builder.
+    fn append(&mut self, name: u32, lo: usize, hi: usize) -> u32 {
         let r = self.nodes.len() as u32;
         let parent = self.stack.last().expect("root sentinel").rank;
         self.nodes.push(NodeRec {
@@ -342,15 +307,14 @@ impl StreamIndexer {
             lo: offset(lo),
             hi: offset(hi),
         });
-        self.subtree_end.push(r + 1);
-        self.pos.push(pos);
+        self.index.push(r, parent, name);
         r
     }
 
     fn comment(&mut self, body: &str) {
         let lo = self.text.len();
         self.text.push_str(body);
-        self.append(NAME_COMMENT, lo, self.text.len(), (0, 0));
+        self.append(NAME_COMMENT, lo, self.text.len());
     }
 
     fn text(&mut self, t: &str) {
@@ -362,14 +326,9 @@ impl StreamIndexer {
         } else {
             collapse_whitespace_into(t, &mut self.text);
         }
-        if self.text.len() == lo {
-            return;
+        if self.text.len() > lo {
+            self.append(NAME_TEXT, lo, self.text.len());
         }
-        let parent = self.stack.last_mut().expect("root sentinel");
-        parent.texts += 1;
-        let k = parent.texts;
-        let r = self.append(NAME_TEXT, lo, self.text.len(), (0, k));
-        self.text_postings.push(r);
     }
 
     fn start_tag(&mut self, name: &str, attrs: &[Attr<'_>], self_closing: bool) {
@@ -377,20 +336,6 @@ impl StreamIndexer {
         if !info.closes.is_empty() {
             self.apply_implied_closes(info.closes);
         }
-        let parent = self.stack.last_mut().expect("root sentinel");
-        parent.elems += 1;
-        let elem_pos = parent.elems;
-        let counters = &mut self.by_tag[parent.by_tag_start as usize..];
-        let same_tag = match counters.iter_mut().find(|(l, _)| *l == local) {
-            Some((_, k)) => {
-                *k += 1;
-                *k
-            }
-            None => {
-                self.by_tag.push((local, 1));
-                1
-            }
-        };
         // Value ids are dense first-seen, which in creation order
         // matches the classic parser's append order.
         let lo = self.attrs.len();
@@ -399,16 +344,12 @@ impl StreamIndexer {
             let vid = self.values.intern(&mut self.text, value);
             self.attrs.push((ainfo.sym, vid));
         }
-        let r = self.append(local, lo, self.attrs.len(), (same_tag, elem_pos));
-        self.elem_postings.push(r);
+        let r = self.append(local, lo, self.attrs.len());
         if !self_closing && !info.void {
             self.stack.push(OpenEntry {
                 rank: r,
                 tag: info.name,
                 boundary: info.boundary,
-                elems: 0,
-                texts: 0,
-                by_tag_start: self.by_tag.len() as u32,
             });
         }
     }
@@ -420,19 +361,8 @@ impl StreamIndexer {
         // kept open.
         if let Some(pos) = self.stack.iter().rposition(|e| e.tag == name) {
             debug_assert!(pos > 0, "end tag matched the root sentinel");
-            self.close_to(pos);
+            self.stack.truncate(pos);
         }
-    }
-
-    /// Closes every open element above (and including) stack index
-    /// `keep`: their subtrees all end at the next rank to be allocated.
-    fn close_to(&mut self, keep: usize) {
-        let end = self.nodes.len() as u32;
-        for entry in &self.stack[keep..] {
-            self.subtree_end[entry.rank as usize] = end;
-        }
-        self.by_tag.truncate(self.stack[keep].by_tag_start as usize);
-        self.stack.truncate(keep);
     }
 
     /// Implied-end-tag repair over the open stack — the iterative twin
@@ -444,7 +374,7 @@ impl StreamIndexer {
             for i in (1..self.stack.len()).rev() {
                 let entry = &self.stack[i];
                 if closes.contains(&entry.tag) {
-                    self.close_to(i);
+                    self.stack.truncate(i);
                     // One incoming tag may imply several closes (e.g.
                     // `tr` closing both `td` and the enclosing `tr`).
                     continue 'again;
@@ -457,46 +387,10 @@ impl StreamIndexer {
         }
     }
 
-    /// EOF: closes everything still open (root included), groups the
-    /// tag postings, copies the tables out at their exact sizes,
-    /// fingerprints, and publishes the index.
+    /// EOF: closes the index builder's open nodes, copies the tables
+    /// out at their exact sizes, fingerprints, and publishes the index.
     fn finish(&mut self) -> IndexedDocument {
-        let n = self.nodes.len() as u32;
-        for entry in self.stack.drain(..) {
-            self.subtree_end[entry.rank as usize] = n;
-        }
-
-        // Tag postings as one CSR array: count elements per local name,
-        // order the tags by symbol, then place each rank at its tag's
-        // cursor (ranks ascend, so every group does too).
-        let counts = &mut self.tag_counts;
-        counts.clear();
-        counts.resize(self.names.len(), 0);
-        for &r in &self.elem_postings {
-            counts[self.nodes[r as usize].name as usize] += 1;
-        }
-        self.tag_order.clear();
-        self.tag_order.extend(
-            (0..counts.len() as u32)
-                .filter(|&l| counts[l as usize] > 0)
-                .map(|l| (self.names.get(l).0, l)),
-        );
-        self.tag_order.sort_unstable();
-        let mut tags = Vec::with_capacity(self.tag_order.len());
-        let mut end = 0;
-        for &(sym, local) in &self.tag_order {
-            let count = counts[local as usize];
-            counts[local as usize] = end;
-            end += count;
-            tags.push((sym, end));
-        }
-        let mut tag_ranks = vec![0; self.elem_postings.len()];
-        for &r in &self.elem_postings {
-            let cursor = &mut counts[self.nodes[r as usize].name as usize];
-            tag_ranks[*cursor as usize] = r;
-            *cursor += 1;
-        }
-
+        let tables = self.index.finish(&self.nodes, &self.names);
         let doc = Document::from_tables(
             self.nodes.clone(),
             self.names.clone(),
@@ -504,16 +398,6 @@ impl StreamIndexer {
             self.values.compact(&self.text),
             self.text.clone(),
         );
-        let tables = IndexTables {
-            subtree_end: self.subtree_end.clone(),
-            pos: self.pos.clone(),
-            tags,
-            tag_ranks,
-            elem_postings: self.elem_postings.clone(),
-            text_postings: self.text_postings.clone(),
-            fingerprint: OnceLock::new(),
-            record_layout: OnceLock::new(),
-        };
         // Eager fingerprint over the hot tables; record layout stays
         // lazy like the classic path.
         DocIndex::new(&doc, &tables).template_fingerprint();
@@ -529,12 +413,16 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::serialize;
+    use crate::tree_oracle::assert_index_matches_tree;
 
     /// Asserts the streamed document and index equal the classic
-    /// parse-then-index output on every table the public API exposes.
+    /// parse-then-index output on every table the public API exposes,
+    /// and that both indexes agree with their trees.
     fn assert_matches_oracle(html: &str) {
         let streamed = parse_indexed(html);
         let oracle = parse(html);
+        assert_index_matches_tree(&streamed);
+        assert_index_matches_tree(&oracle);
         assert_eq!(
             serialize(&streamed),
             serialize(&oracle),

@@ -2,8 +2,11 @@
 //! runs on arbitrary crawled markup, so the tokenizer and parser must
 //! never panic, and their output must be structurally sound.
 
-use aw_dom::{parse, parse_indexed, serialize, tokenizer::tokenize, NodeId, NodeKind};
+use aw_dom::{parse, parse_indexed, serialize, tokenizer::tokenize, Document, NodeId, NodeKind};
 use proptest::prelude::*;
+
+#[path = "../crates/dom/src/tree_oracle.rs"]
+mod tree_oracle;
 
 /// Strategy producing markup-looking garbage: tags, attributes, entities,
 /// comments, raw text sections and random byte salad.
@@ -126,14 +129,16 @@ proptest! {
     }
 
     /// The one-pass streaming parse→index (`parse_indexed`, the serving
-    /// request path) is byte-identical to its differential oracle —
-    /// classic `parse` followed by the lazy index build — on arbitrary
-    /// markup: same tree, same serialization, and the same value in
-    /// every index table the public API exposes.
+    /// request path) is byte-identical to classic `parse` followed by
+    /// the lazy index build on arbitrary markup: same tree, same
+    /// serialization, and the same value in every index table the
+    /// public API exposes — the value the tree implies, on both paths.
     #[test]
     fn streaming_parse_matches_two_pass_oracle(input in html_soup()) {
         let streamed = parse_indexed(&input);
         let oracle = parse(&input);
+        tree_oracle::assert_index_matches_tree(&streamed);
+        tree_oracle::assert_index_matches_tree(&oracle);
         prop_assert_eq!(serialize(&streamed), serialize(&oracle));
         prop_assert_eq!(streamed.len(), oracle.len());
         let (si, oi) = (streamed.index(), oracle.index());

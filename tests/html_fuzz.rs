@@ -7,17 +7,21 @@
 //! entity, upper-case-name, duplicate-attribute, bare-value, raw-text
 //! and non-ASCII splices. On every input, classic `parse` (then the
 //! lazy index build) and the streaming `parse_indexed` must not panic,
-//! must agree on the serialization and on every index table, and must
-//! each finish within a fixed time bound.
+//! must agree on the serialization and on every index table, must each
+//! hold the index tables their tree implies, and must each finish within
+//! a fixed time bound.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use aw_dom::{parse, parse_indexed, serialize, Document};
+use aw_dom::{parse, parse_indexed, serialize, Document, NodeId, NodeKind};
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 use rand::Rng;
+
+#[path = "../crates/dom/src/tree_oracle.rs"]
+mod tree_oracle;
 
 /// Generated pages the mutators start from.
 fn seeds() -> &'static [String] {
@@ -216,6 +220,8 @@ proptest! {
         let (streamed, t_stream) = timed(&html, |h| parse_indexed(h).into_document());
         prop_assert!(t_classic < BOUND, "classic parse took {:?}", t_classic);
         prop_assert!(t_stream < BOUND, "streaming parse took {:?}", t_stream);
+        tree_oracle::assert_index_matches_tree(&oracle);
+        tree_oracle::assert_index_matches_tree(&streamed);
 
         prop_assert_eq!(serialize(&streamed), serialize(&oracle));
         prop_assert_eq!(streamed.len(), oracle.len());

@@ -1,4 +1,7 @@
-//! Allocation ceilings for the streaming parse→index (`parse_indexed`).
+//! Allocation ceilings for both parse→index paths: the streaming
+//! `parse_indexed` of the serving request path, and classic `parse`
+//! followed by the lazy `Document::index` (the `with_stream_parse(false)`
+//! serving path, and every learn-side site).
 //!
 //! Allocation counts and retained bytes are exact functions of a seeded
 //! input, so unlike time ratios they can be gated tightly on a noisy
@@ -13,9 +16,10 @@
 //!   of the input bytes;
 //! * whether dropping the documents returns every byte they allocated.
 //!
-//! The builder keeps per-thread scratch tables between pages, so each
-//! corpus is parsed once to warm them before the measured pass: the
-//! measurement is the steady state of a serving thread.
+//! The index builder keeps per-thread scratch tables between pages (and
+//! so does the streaming parser), so each corpus is parsed once to warm
+//! them before the measured pass: the measurement is the steady state of
+//! a serving thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,6 +75,11 @@ fn counters() -> (u64, i64) {
 const MAX_ALLOCS_PER_PAGE: f64 = 20.0;
 /// Ceiling on bytes a built document keeps, per input byte.
 const MAX_RETAINED_PER_INPUT_BYTE: f64 = 5.0;
+/// Ceiling on allocations per page of `parse` then `index()`. Measured
+/// at 62.4 (full-roster) and 56.5 (variable-length): the classic parser
+/// grows its tables as it goes, and the index adds its six exact-size
+/// tables, built from per-thread scratch.
+const MAX_CLASSIC_ALLOCS_PER_PAGE: f64 = 70.0;
 
 /// 24 sites × 12 pages of one DEALERS configuration, serialized.
 fn pages(records_per_page: (usize, usize), seed: u64) -> Vec<String> {
@@ -95,18 +104,14 @@ struct Budget {
     leaked_bytes: i64,
 }
 
-/// Parses every page (after one warm-up pass) and measures the pass.
-fn measure(pages: &[String]) -> Budget {
-    drop(
-        pages
-            .iter()
-            .map(|p| aw_dom::parse_indexed(p))
-            .collect::<Vec<_>>(),
-    );
+/// Parses every page with `parse` (after one warm-up pass) and
+/// measures the pass.
+fn measure<D>(pages: &[String], parse: impl Fn(&str) -> D) -> Budget {
+    drop(pages.iter().map(|p| parse(p)).collect::<Vec<_>>());
     let mut docs = Vec::with_capacity(pages.len());
     let (allocs0, live0) = counters();
     for page in pages {
-        docs.push(aw_dom::parse_indexed(page));
+        docs.push(parse(page));
     }
     let (allocs1, live1) = counters();
     // The holding vector was sized up front, so everything that arrived
@@ -117,8 +122,7 @@ fn measure(pages: &[String]) -> Budget {
     Budget {
         allocs_per_page: (allocs1 - allocs0) as f64 / pages.len() as f64,
         retained_per_input_byte: (live1 - live0) as f64 / input as f64,
-        leaked_bytes: live2 - live0
-            + (pages.len() * std::mem::size_of::<aw_dom::IndexedDocument>()) as i64,
+        leaked_bytes: live2 - live0 + (pages.len() * std::mem::size_of::<D>()) as i64,
     }
 }
 
@@ -130,7 +134,7 @@ fn parse_indexed_stays_within_its_allocation_budget() {
     ] {
         let pages = pages(records, seed);
         assert_eq!(pages.len(), 288);
-        let b = measure(&pages);
+        let b = measure(&pages, aw_dom::parse_indexed);
         println!(
             "{corpus}: {:.1} allocations/page, retained {:.2}x input, {} bytes not returned",
             b.allocs_per_page, b.retained_per_input_byte, b.leaked_bytes
@@ -144,6 +148,38 @@ fn parse_indexed_stays_within_its_allocation_budget() {
             b.retained_per_input_byte <= MAX_RETAINED_PER_INPUT_BYTE,
             "{corpus}: documents retain {:.2}x their input (ceiling {MAX_RETAINED_PER_INPUT_BYTE}x)",
             b.retained_per_input_byte
+        );
+        assert_eq!(
+            b.leaked_bytes, 0,
+            "{corpus}: dropping the documents must return every byte they allocated"
+        );
+    }
+}
+
+/// Classic `parse`, then the index built over the finished rows.
+fn parse_then_index(html: &str) -> aw_dom::Document {
+    let doc = aw_dom::parse(html);
+    doc.index();
+    doc
+}
+
+#[test]
+fn parse_then_index_stays_within_its_allocation_budget() {
+    for (corpus, records, seed) in [
+        ("full-roster", (6, 6), 0x7E41),
+        ("variable-length", (2, 8), 0x7A2C),
+    ] {
+        let pages = pages(records, seed);
+        let b = measure(&pages, parse_then_index);
+        println!(
+            "{corpus}: parse then index: {:.1} allocations/page, retained {:.2}x input, \
+             {} bytes not returned",
+            b.allocs_per_page, b.retained_per_input_byte, b.leaked_bytes
+        );
+        assert!(
+            b.allocs_per_page <= MAX_CLASSIC_ALLOCS_PER_PAGE,
+            "{corpus}: {:.1} allocations per page (ceiling {MAX_CLASSIC_ALLOCS_PER_PAGE})",
+            b.allocs_per_page
         );
         assert_eq!(
             b.leaked_bytes, 0,
